@@ -5,7 +5,7 @@ training, within-community scores should dominate cross-community ones.
 """
 import numpy as np
 
-from tplrec import EmbedConfig, score, train_embeddings
+from tplrec import EmbedConfig, train_embeddings
 from tplrec.synth import planted_communities
 
 ds = planted_communities(n_projects=60, n_libraries=40, n_communities=2,
@@ -25,7 +25,7 @@ comm_l = np.arange(ds.n_libraries) % 2
 within, cross = [], []
 for u in range(ds.n_projects):
     for i in range(ds.n_libraries):
-        s = score(table.projects[u], table.libraries[i])
+        s = table.projects[u] @ table.libraries[i]
         (within if comm_p[u] == comm_l[i] else cross).append(s)
 
 print(f"mean within-community score: {np.mean(within):+.3f}")

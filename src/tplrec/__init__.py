@@ -14,7 +14,6 @@ from .agent import (
     cql_loss,
     gen_transition,
     load_qnetwork,
-    q_target,
     recommend,
     reward,
     save_qnetwork,
@@ -37,7 +36,6 @@ from .embed import (
     build_adjacency,
     debiased_contrastive_loss,
     propagate,
-    score,
     train_embeddings,
 )
 from .errors import DataError, NumericError, ParseError
@@ -53,13 +51,13 @@ from .synth import head_tail, planted_communities
 
 __all__ = [
     "AgentConfig", "QNetwork", "ReplayBuffer", "Transition", "cql_loss",
-    "gen_transition", "load_qnetwork", "q_target", "recommend", "reward",
+    "gen_transition", "load_qnetwork", "recommend", "reward",
     "save_qnetwork", "train_agent",
     "RepresentativeTable", "aggregate", "build_representatives", "representative",
     "InteractionDataset", "PopularityTable", "SplitSpec", "ingest", "popularity",
     "split_interactions", "split_query_test", "split_users",
     "EmbedConfig", "EmbeddingTable", "build_adjacency", "debiased_contrastive_loss",
-    "propagate", "score", "train_embeddings",
+    "propagate", "train_embeddings",
     "DataError", "NumericError", "ParseError",
     "MetricsReport", "ProtocolConfig", "coverage_at_k", "epc_at_k",
     "precision_recall_at_k", "run_protocol",

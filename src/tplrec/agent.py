@@ -4,15 +4,14 @@ Q-learning objective, and the popularity-aware partitioned replay buffer.
 from __future__ import annotations
 
 import csv
-import struct
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.special import logsumexp, softmax
 
+from .artifact import read_artifact, write_artifact
 from .coldstart import RepresentativeTable, aggregate
 from .data import RARE_THRESHOLD, InteractionDataset, PopularityTable, popularity
 from .embed import EmbeddingTable
@@ -20,8 +19,10 @@ from .errors import DataError, NumericError
 from .optim import Adam, cosine_annealed_lr
 
 _MAGIC_Q = b"TPLQ"
+_QNET_PARAMS = ("w1", "b1", "wv", "bv", "wa", "ba")
 
 PARTITIONS = ("rare", "rand", "seq")
+MODES = ("sequential", "one-shot")
 
 
 @dataclass(eq=False)
@@ -41,7 +42,6 @@ class AgentConfig:
     epochs: int = 20
     batch_size: int = 128
     hidden: int = 256
-    max_steps: int = 10  # maximum recommendation steps per episode
     target_sync: int = 500
     capacity: int = 100_000
     mu: tuple[float, float, float] = (0.2, 0.5, 0.3)
@@ -56,6 +56,9 @@ class AgentConfig:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if abs(sum(self.mu) - 1.0) > 1e-9:
             raise ValueError(f"partition ratios must sum to 1, got {self.mu}")
+        for name in ("batch_size", "hidden", "target_sync", "transitions_per_project"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 class QNetwork:
@@ -116,70 +119,42 @@ class QNetwork:
         grads["b1"] = dz.sum(axis=0)
         return grads
 
-    def clone(self) -> "QNetwork":
-        net = QNetwork.__new__(QNetwork)
-        net.state_dim = self.state_dim
-        net.n_actions = self.n_actions
-        net.hidden = self.hidden
-        net.params = {k: v.copy() for k, v in self.params.items()}
+    @classmethod
+    def from_params(cls, params: dict[str, np.ndarray]) -> "QNetwork":
+        """A network holding the given arrays, without drawing an initialization."""
+        net = cls.__new__(cls)
+        net.hidden, net.state_dim = params["w1"].shape
+        net.n_actions = params["wa"].shape[0]
+        net.params = params
         return net
+
+    def clone(self) -> "QNetwork":
+        return QNetwork.from_params({k: v.copy() for k, v in self.params.items()})
 
     def load_params(self, params: dict[str, np.ndarray]) -> None:
         for k in self.params:
             self.params[k][...] = params[k]
 
 
+def _qnet_layout(d: int, h: int, m: int):
+    return [((h, d), "<f4"), ((h,), "<f4"), ((h,), "<f4"), ((1,), "<f4"), ((m, h), "<f4"), ((m,), "<f4")]
+
+
 def save_qnetwork(path, net: QNetwork) -> None:
-    """Binary layout: magic TPLQ, version byte, state/hidden/action dims
-    as u32 LE, then the parameter arrays in fixed order as float32 LE."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_Q)
-        fh.write(bytes([1]))
-        fh.write(struct.pack("<III", net.state_dim, net.hidden, net.n_actions))
-        for name in ("w1", "b1", "wv", "bv", "wa", "ba"):
-            fh.write(net.params[name].astype("<f4").tobytes())
+    """Artifact TPLQ with dims (state, hidden, actions): the parameter
+    arrays w1, b1, wv, bv, wa, ba in that order as float32."""
+    write_artifact(path, _MAGIC_Q, (net.state_dim, net.hidden, net.n_actions),
+                   [(net.params[name], "<f4") for name in _QNET_PARAMS])
 
 
 def load_qnetwork(path) -> QNetwork:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC_Q:
-        raise DataError(f"bad magic in {path}: expected {_MAGIC_Q!r}")
-    if raw[4] != 1:
-        raise DataError(f"unsupported version {raw[4]} in {path}")
-    d, h, m = struct.unpack("<III", raw[5:17])
-    net = QNetwork(d, m, hidden=h, rng=0)
-    off = 17
-    for name, shape in (
-        ("w1", (h, d)), ("b1", (h,)), ("wv", (h,)), ("bv", (1,)),
-        ("wa", (m, h)), ("ba", (m,)),
-    ):
-        count = int(np.prod(shape))
-        net.params[name] = np.frombuffer(raw[off:off + 4 * count], dtype="<f4").astype(np.float64).reshape(shape)
-        off += 4 * count
-    return net
+    arrays = read_artifact(path, _MAGIC_Q, _qnet_layout)
+    return QNetwork.from_params({name: a.astype(np.float64) for name, a in zip(_QNET_PARAMS, arrays)})
 
 
 def reward(state: np.ndarray, action: int, lib_table: np.ndarray) -> float:
     """r = 1 + e_action . state; in [0, 2] for unit-norm source tables."""
     return 1.0 + float(lib_table[action] @ state)
-
-
-def reward_expanded(action: int, known, table: EmbeddingTable, train: InteractionDataset, blend: float) -> float:
-    """Reward recomputed as the per-library vote sum (the expanded form of
-    the blended-representative formula); must equal the direct form."""
-    e_a = table.libraries[action]
-    total = 0.0
-    for i in known:
-        users = train.by_library[int(i)]
-        e_users = table.projects[list(users)]
-        weights = np.maximum(e_users @ table.libraries[int(i)], 0.0)
-        wsum = weights.sum()
-        if wsum > 0.0:
-            vote = float(weights @ (e_users @ e_a)) / wsum
-        else:
-            vote = float((e_users @ e_a).mean())
-        total += blend * vote + (1.0 - blend) * float(table.libraries[int(i)] @ e_a)
-    return 1.0 + total / len(list(known))
 
 
 def gen_transition(items, rep: RepresentativeTable, lib_table: np.ndarray, rng) -> Transition | None:
@@ -207,14 +182,6 @@ def gen_transition(items, rep: RepresentativeTable, lib_table: np.ndarray, rng) 
         next_state=next_state,
         terminal=(k + 1 == n),
     )
-
-
-def q_target(t: Transition, online: QNetwork, target: QNetwork, gamma: float) -> float:
-    """Double-DQN target: online argmax, target evaluation; r on terminal."""
-    if t.terminal:
-        return t.reward
-    a_star = int(np.argmax(online.forward(t.next_state)[0]))
-    return t.reward + gamma * float(target.forward(t.next_state)[0, a_star])
 
 
 def _q_targets(batch: list[Transition], online: QNetwork, target: QNetwork, gamma: float) -> np.ndarray:

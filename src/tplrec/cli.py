@@ -9,17 +9,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import field, fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .agent import AgentConfig, load_qnetwork, recommend, save_qnetwork, train_agent
+from .agent import MODES, AgentConfig, load_qnetwork, recommend, save_qnetwork, train_agent
 from .coldstart import RepresentativeTable, build_representatives
 from .data import InteractionDataset, ingest, popularity
 from .embed import EmbedConfig, EmbeddingTable, train_embeddings
 from .errors import DataError, NumericError
-from .evaluation import PROTOCOLS, ProtocolConfig, run_protocol
+from .evaluation import ProtocolConfig, run_protocol
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -31,99 +31,61 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Resolved run configuration; defaults mirror the reference settings."""
-
-    dataset: str = ""
-    protocol: str = "coldstart-100"
-    output: str = "tplrec-out"
-    seed: int = 0
-    folds: int = 10
-    k: int = 10
-    query_fraction: float = 0.5
-    train_fraction: float = 0.7
-    mode: str = "sequential"
-    jobs: int = 1
-    # embedding model
-    dim: int = 64
-    layers: int = 2
-    embed_batch: int = 1024
-    embed_lr: float = 1e-4
-    l2: float = 1e-5
-    negatives: int = 128
-    temperature: float = 0.1
-    beta: float = 0.5
-    patience: int = 20
-    embed_epochs: int = 400
-    blend: float = 0.5
-    # RL agent
-    gamma: float = 0.9
-    alpha: float = 5.5
-    agent_lr: float = 1e-3
-    agent_epochs: int = 20
-    agent_batch: int = 128
-    hidden: int = 256
-    capacity: int = 100_000
-    mu_rare: float = 0.2
-    mu_rand: float = 0.5
-    mu_seq: float = 0.3
-    target_sync: int = 500
-    max_steps: int = 10
-    transitions_per_project: int = 4
-
-    def embed_config(self) -> EmbedConfig:
-        return EmbedConfig(
-            layers=self.layers, dim=self.dim, batch_size=self.embed_batch,
-            learning_rate=self.embed_lr, l2=self.l2, negatives=self.negatives,
-            temperature=self.temperature, beta=self.beta, patience=self.patience,
-            max_epochs=self.embed_epochs, seed=self.seed,
-        )
-
-    def agent_config(self) -> AgentConfig:
-        return AgentConfig(
-            gamma=self.gamma, alpha=self.alpha, learning_rate=self.agent_lr,
-            epochs=self.agent_epochs, batch_size=self.agent_batch, hidden=self.hidden,
-            max_steps=self.max_steps, target_sync=self.target_sync, capacity=self.capacity,
-            mu=(self.mu_rare, self.mu_rand, self.mu_seq),
-            transitions_per_project=self.transitions_per_project, seed=self.seed,
-        )
-
-    def protocol_config(self) -> ProtocolConfig:
-        return ProtocolConfig(
-            protocol=self.protocol, folds=self.folds, k=self.k,
-            query_fraction=self.query_fraction, train_fraction=self.train_fraction,
-            blend=self.blend, mode=self.mode, seed=self.seed,
-            embed=self.embed_config(), agent=self.agent_config(),
-        )
-
-    def lines(self) -> list[str]:
-        return [f"{f.name} {getattr(self, f.name)}" for f in fields(self)]
+# Config keys come from the fields of the config dataclasses. Listed here
+# are only the fields whose key differs: a renamed key, a tuple of keys
+# (one per element of a tuple field), or None for a field the command
+# line does not set. `seed` seeds all three configs.
+RENAMED = {
+    ProtocolConfig: {"embed": None, "agent": None, "policy": None, "rank_discounted_epc": None},
+    EmbedConfig: {"batch_size": "embed_batch", "learning_rate": "embed_lr", "max_epochs": "embed_epochs",
+                  "val_fraction": None, "init_scale": None},
+    AgentConfig: {"learning_rate": "agent_lr", "epochs": "agent_epochs", "batch_size": "agent_batch",
+                  "mu": ("mu_rare", "mu_rand", "mu_seq"), "grad_steps_per_epoch": None},
+}
+KEYS = {cls: {f.name: key for f in fields(cls) if (key := renamed.get(f.name, f.name))}
+        for cls, renamed in RENAMED.items()}
 
 
-def _coerce(name: str, raw: str, default):
-    try:
-        if isinstance(default, bool):
-            return raw.lower() in ("1", "true", "yes")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise UsageError(f"bad value for {name}: {raw!r}") from exc
+def _defaults() -> dict:
+    out = {"dataset": "", "output": "tplrec-out"}
+    for cls, keys in KEYS.items():
+        default = cls()
+        for name, key in keys.items():
+            value = getattr(default, name)
+            out.update(zip(key, value) if isinstance(key, tuple) else [(key, value)])
+    return out
+
+
+DEFAULTS = _defaults()
+RunConfig = make_dataclass("RunConfig", [(k, type(v), field(default=v)) for k, v in DEFAULTS.items()])
+RunConfig.__doc__ = "Flat run configuration: the dataset, the output directory and every config key."
+
+
+def protocol_config(cfg) -> ProtocolConfig:
+    """The ProtocolConfig, with its EmbedConfig and AgentConfig, that a run config sets."""
+    def make(cls, **nested):
+        return cls(**{name: tuple(getattr(cfg, k) for k in key) if isinstance(key, tuple) else getattr(cfg, key)
+                      for name, key in KEYS[cls].items()}, **nested)
+
+    return make(ProtocolConfig, embed=make(EmbedConfig), agent=make(AgentConfig))
+
+
+def _config_lines(cfg) -> list[str]:
+    return [f"{f.name} {getattr(cfg, f.name)}" for f in fields(cfg)]
 
 
 def load_config(path: str | None, overrides: list[str]) -> RunConfig:
     """Build a RunConfig from an optional key-value file plus --key value
     overrides; unknown keys are rejected."""
-    defaults = {f.name: f.default for f in fields(RunConfig)}
     values: dict = {}
 
     def set_kv(key: str, raw: str, where: str):
-        if key not in defaults:
+        if key not in DEFAULTS:
             raise UsageError(f"unknown configuration key {key!r} ({where})")
-        values[key] = _coerce(key, raw, defaults[key])
+        try:
+            values[key] = type(DEFAULTS[key])(raw)
+        except ValueError as exc:
+            raise UsageError(f"bad value for {key}: {raw!r}") from exc
 
     if path:
         p = Path(path)
@@ -148,7 +110,12 @@ def load_config(path: str | None, overrides: list[str]) -> RunConfig:
         except StopIteration:
             raise UsageError(f"override {tok} is missing a value") from None
         set_kv(key, raw, "command line")
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    try:
+        protocol_config(cfg)
+    except (ValueError, DataError) as exc:
+        raise UsageError(f"bad configuration: {exc}") from exc
+    return cfg
 
 
 def _sha256(path: Path) -> str:
@@ -196,9 +163,10 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     ds = ingest(cfg.dataset)
-    emb = train_embeddings(ds, cfg.embed_config())
-    rep = build_representatives(emb.table, ds, cfg.blend)
-    net, stats = train_agent(ds, emb.table, rep, cfg.agent_config())
+    run = protocol_config(cfg)
+    emb = train_embeddings(ds, run.embed)
+    rep = build_representatives(emb.table, ds, run.blend)
+    net, stats = train_agent(ds, emb.table, rep, run.agent)
 
     emb.table.save(out / "embeddings.tple")
     rep.save(out / "representatives.tplr")
@@ -206,7 +174,7 @@ def cmd_train(args) -> int:
     stats.write_curve(out / "curve.csv")
     _write_vocab(out / "vocab.tsv", ds)
 
-    manifest = cfg.lines()
+    manifest = _config_lines(cfg)
     for name in ("embeddings.tple", "representatives.tplr", "qnet.tplq", "curve.csv", "vocab.tsv"):
         manifest.append(f"sha256:{name} {_sha256(out / name)}")
     (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
@@ -215,6 +183,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_recommend(args) -> int:
+    if args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
     model_dir = Path(args.model_dir)
     for name in ("qnet.tplq", "representatives.tplr", "vocab.tsv"):
         if not (model_dir / name).is_file():
@@ -244,10 +214,10 @@ def cmd_evaluate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     ds = ingest(cfg.dataset)
-    report = run_protocol(ds, cfg.protocol_config())
+    report = run_protocol(ds, protocol_config(cfg))
     (out / "report.txt").write_text(report.to_table(), encoding="utf-8")
     (out / "report.csv").write_text("\n".join(report.machine_lines()) + "\n", encoding="utf-8")
-    (out / "manifest.txt").write_text("\n".join(cfg.lines()) + "\n", encoding="utf-8")
+    (out / "manifest.txt").write_text("\n".join(_config_lines(cfg)) + "\n", encoding="utf-8")
     print(report.to_table())
     print(f"reports written to {out}")
     return EXIT_OK
@@ -274,7 +244,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model-dir", required=True)
     p.add_argument("--query", required=True, help="comma-separated library ids")
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--mode", choices=("sequential", "one-shot"), default="sequential")
+    p.add_argument("--mode", choices=MODES, default="sequential")
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser("evaluate", help="run an evaluation protocol and write reports")

@@ -7,14 +7,13 @@ libraries it uses. That vector doubles as the RL state.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .artifact import read_artifact, write_artifact
 from .data import InteractionDataset
-from .embed import EmbeddingTable, _load_table, _save_table
+from .embed import EmbeddingTable
 from .errors import DataError
 
 _MAGIC_REP = b"TPLR"
@@ -33,23 +32,19 @@ class RepresentativeTable:
         return self.vectors.shape[1]
 
     def save(self, path) -> None:
-        """Same binary layout as the embedding table (magic TPLR, zero
-        project rows), followed by the blend weight as float32 and the
+        """Artifact TPLR with dims (0, M, d): the embedding-table layout with
+        no project rows, then the blend weight as float32 and the
         availability mask as one byte per library."""
-        _save_table(path, _MAGIC_REP, np.zeros((0, self.dim)), self.vectors)
-        with open(path, "ab") as fh:
-            fh.write(struct.pack("<f", self.blend))
-            fh.write(self.has_rep.astype(np.uint8).tobytes())
+        m, d = self.vectors.shape
+        write_artifact(path, _MAGIC_REP, (0, m, d),
+                       [(self.vectors, "<f4"), ([self.blend], "<f4"), (self.has_rep, np.uint8)])
 
     @classmethod
     def load(cls, path) -> "RepresentativeTable":
-        _, vectors = _load_table(path, _MAGIC_REP)
-        raw = Path(path).read_bytes()
-        m, d = vectors.shape
-        off = 17 + 4 * m * d
-        (blend,) = struct.unpack("<f", raw[off:off + 4])
-        mask = np.frombuffer(raw[off + 4:off + 4 + m], dtype=np.uint8).astype(bool)
-        return cls(vectors=vectors, blend=float(blend), has_rep=mask)
+        _, vectors, blend, mask = read_artifact(path, _MAGIC_REP, lambda n, m, d: [
+            ((n, d), "<f4"), ((m, d), "<f4"), ((1,), "<f4"), ((m,), np.uint8),
+        ])
+        return cls(vectors=vectors.astype(np.float64), blend=float(blend[0]), has_rep=mask.astype(bool))
 
 
 def representative(i: int, table: EmbeddingTable, train: InteractionDataset, blend: float) -> np.ndarray:

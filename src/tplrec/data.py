@@ -187,15 +187,6 @@ def seen_libraries(ds: InteractionDataset, train_projects: Sequence[int]) -> set
     return {i for u, i in ds.interactions if u in train}
 
 
-def ground_truth(ds: InteractionDataset, train_projects, test_projects) -> dict[int, tuple[int, ...]]:
-    """Per-test-project interaction lists with train-unseen libraries dropped."""
-    seen = seen_libraries(ds, train_projects)
-    return {
-        int(u): tuple(i for i in ds.by_project[int(u)] if i in seen)
-        for u in test_projects
-    }
-
-
 def restrict(ds: InteractionDataset, project_indices) -> InteractionDataset:
     """Sub-dataset over the given projects; the library catalog is kept whole."""
     idx = sorted(int(u) for u in project_indices)
@@ -252,23 +243,3 @@ def split_interactions(ds: InteractionDataset, train_fraction: float, seed: int 
         train_lists.append(tuple(sorted(items[j] for j in perm[:t])))
         test_lists.append(tuple(sorted(items[j] for j in perm[t:])))
     return train_lists, test_lists
-
-
-def write_split_manifest(path, rows) -> None:
-    """Serialize split rows as `fold<TAB>role<TAB>project-id<TAB>library-id...` lines."""
-    lines = []
-    for fold, role, project, libs in rows:
-        lines.append("\t".join([str(int(fold)), role, project, *libs]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_split_manifest(path) -> list[tuple[int, str, str, tuple[str, ...]]]:
-    rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) < 3:
-            raise ParseError(f"line {lineno}: malformed manifest row")
-        rows.append((int(parts[0]), parts[1], parts[2], tuple(parts[3:])))
-    return rows

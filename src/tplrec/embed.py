@@ -8,14 +8,13 @@ plain dot product.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .data import InteractionDataset, popularity
+from .artifact import read_artifact, write_artifact
+from .data import InteractionDataset
 from .errors import DataError, NumericError
 from .optim import Adam
 
@@ -45,8 +44,10 @@ class EmbedConfig:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        for name in ("layers", "dim", "batch_size", "negatives", "max_epochs"):
-            if getattr(self, name) <= 0 and name != "layers":
+        if self.layers < 0:
+            raise ValueError(f"layers must be >= 0, got {self.layers}")
+        for name in ("dim", "batch_size", "negatives", "max_epochs"):
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -61,9 +62,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.projects.shape[1]
 
-    def stacked(self) -> np.ndarray:
-        return np.vstack([self.projects, self.libraries])
-
     def normalized(self) -> "EmbeddingTable":
         def norm_rows(x):
             norms = np.linalg.norm(x, axis=1, keepdims=True)
@@ -73,44 +71,15 @@ class EmbeddingTable:
         return EmbeddingTable(norm_rows(self.projects), norm_rows(self.libraries))
 
     def save(self, path) -> None:
-        """Binary layout: magic TPLE, version byte, N/M/d as u32 LE, then
-        N*d followed by M*d float32 LE values, row-major."""
-        _save_table(path, _MAGIC_EMB, self.projects, self.libraries)
+        """Artifact TPLE with dims (N, M, d): the N*d project values, then
+        the M*d library values, as float32."""
+        write_artifact(path, _MAGIC_EMB, (len(self.projects), len(self.libraries), self.dim),
+                       [(self.projects, "<f4"), (self.libraries, "<f4")])
 
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
-        proj, lib = _load_table(path, _MAGIC_EMB)
-        return cls(proj, lib)
-
-
-def _save_table(path, magic: bytes, projects: np.ndarray, libraries: np.ndarray) -> None:
-    n, d = projects.shape
-    m = libraries.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(bytes([1]))
-        fh.write(struct.pack("<III", n, m, d))
-        fh.write(projects.astype("<f4").tobytes())
-        fh.write(libraries.astype("<f4").tobytes())
-
-
-def _load_table(path, magic: bytes) -> tuple[np.ndarray, np.ndarray]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != magic:
-        raise DataError(f"bad magic in {path}: expected {magic!r}")
-    version = raw[4]
-    if version != 1:
-        raise DataError(f"unsupported version {version} in {path}")
-    n, m, d = struct.unpack("<III", raw[5:17])
-    body = np.frombuffer(raw[17:17 + 4 * (n + m) * d], dtype="<f4").astype(np.float64)
-    proj = body[: n * d].reshape(n, d)
-    lib = body[n * d:].reshape(m, d)
-    return proj, lib
-
-
-def score(u_row: np.ndarray, i_row: np.ndarray) -> float:
-    """Similarity of a unit-norm project/library row pair: the dot product."""
-    return float(np.dot(u_row, i_row))
+        proj, lib = read_artifact(path, _MAGIC_EMB, lambda n, m, d: [((n, d), "<f4"), ((m, d), "<f4")])
+        return cls(proj.astype(np.float64), lib.astype(np.float64))
 
 
 def build_adjacency(ds: InteractionDataset) -> sp.csr_matrix:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .agent import AgentConfig, recommend, train_agent
+from .agent import MODES, AgentConfig, recommend, train_agent
 from .coldstart import build_representatives
 from .data import (
     InteractionDataset,
@@ -21,7 +21,7 @@ from .data import (
     split_users,
 )
 from .embed import EmbedConfig, train_embeddings
-from .errors import DataError
+from .errors import DataError, NumericError
 
 PROTOCOLS = ("coldstart-100", "coldstart-30", "interaction-split")
 POLICIES = ("agent", "random", "popularity")
@@ -138,6 +138,15 @@ class ProtocolConfig:
             raise DataError(f"unknown protocol {self.protocol}; expected one of {PROTOCOLS}")
         if self.policy not in POLICIES:
             raise DataError(f"unknown policy {self.policy}; expected one of {POLICIES}")
+        if self.mode not in MODES:
+            raise DataError(f"unknown mode {self.mode}; expected one of {MODES}")
+        if self.k < 1:
+            raise DataError(f"k must be >= 1, got {self.k}")
+        for name in ("query_fraction", "train_fraction"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise DataError(f"{name} must be in (0, 1), got {getattr(self, name)}")
+        if not 0.0 <= self.blend <= 1.0:
+            raise DataError(f"blend must be in [0, 1], got {self.blend}")
 
 
 def _baseline_recommend(policy: str, query, allowed: np.ndarray, k: int,
@@ -162,123 +171,86 @@ def _fold_metrics(rec_lists, truths, pop, m, k, rank_discounted) -> dict[str, fl
     }
 
 
-def _train_fold(train_ds: InteractionDataset, cfg: ProtocolConfig, fold: int):
-    emb = train_embeddings(train_ds, replace(cfg.embed, seed=cfg.embed.seed + fold))
-    rep = build_representatives(emb.table, train_ds, cfg.blend)
-    net, _ = train_agent(train_ds, emb.table, rep, replace(cfg.agent, seed=cfg.agent.seed + fold))
-    return emb.table, rep, net
+def _recommender(train_ds: InteractionDataset, seen: set[int], pop: PopularityTable,
+                 cfg: ProtocolConfig, fold: int):
+    """The fold's policy, trained on `train_ds`, as a function from a query to its top-k list."""
+    if cfg.policy == "agent":
+        emb = train_embeddings(train_ds, replace(cfg.embed, seed=cfg.embed.seed + fold))
+        rep = build_representatives(emb.table, train_ds, cfg.blend)
+        net, _ = train_agent(train_ds, emb.table, rep, replace(cfg.agent, seed=cfg.agent.seed + fold))
+        return lambda query: recommend(query, cfg.k, net, rep, mode=cfg.mode)
+    allowed = np.zeros(train_ds.n_libraries, dtype=bool)
+    allowed[sorted(seen)] = True
+    rng = np.random.default_rng(cfg.seed * 104729 + fold)
+    return lambda query: _baseline_recommend(cfg.policy, query, allowed, cfg.k, pop, rng)
+
+
+def _coldstart_folds(ds: InteractionDataset, cfg: ProtocolConfig):
+    """User-split k-fold: each test project reveals a query fraction of
+    its libraries and is scored on the rest."""
+    qf = 0.3 if cfg.protocol == "coldstart-30" else cfg.query_fraction
+    spec = SplitSpec(mode="user-split", query_fraction=qf, fold_count=cfg.folds, seed=cfg.seed)
+    for f, fold in enumerate(split_users(ds, spec)):
+        seen = seen_libraries(ds, fold.train_projects)
+        split_rng = np.random.default_rng(cfg.seed * 7919 + f)
+        cases = []
+        for u in fold.test_projects:
+            items = ds.by_project[int(u)]
+            if len(items) < 2:
+                cases.append(((), ()))
+                continue
+            query, test = split_query_test(items, qf, split_rng)
+            cases.append((tuple(i for i in query if i in seen), tuple(i for i in test if i in seen)))
+        yield restrict(ds, fold.train_projects), seen, cases
+
+
+def _interaction_folds(ds: InteractionDataset, cfg: ProtocolConfig):
+    """One fold: every project trains on its retained interactions and is
+    scored on its held-out ones."""
+    train_lists, test_lists = split_interactions(ds, cfg.train_fraction, cfg.seed)
+    edges = tuple((u, i) for u in range(ds.n_projects) for i in train_lists[u])
+    seen = {i for _, i in edges}
+    cases = [(train_lists[u], tuple(i for i in test_lists[u] if i in seen)) for u in range(ds.n_projects)]
+    yield InteractionDataset(ds.projects, ds.libraries, edges), seen, cases
 
 
 def run_protocol(ds: InteractionDataset, cfg: ProtocolConfig) -> MetricsReport:
     """Run one evaluation protocol end to end and report per-fold metrics.
 
-    The coldstart protocols use user-split k-fold cross-validation;
-    the interaction-split protocol trains on every project's retained
-    interactions and evaluates on the held-out ones in a single fold.
+    Each fold yields a training set and one (query, truth) case per test
+    project; a case with an empty query or truth is skipped. A fold whose
+    training fails or that has no case left is reported incomplete. If
+    no fold completes, the last training error is raised, or DataError
+    when no fold had a project to evaluate.
     """
     start = time.monotonic()
-    if cfg.protocol == "interaction-split":
-        report = _run_interaction_split(ds, cfg)
-    else:
-        report = _run_coldstart(ds, cfg)
-    report.elapsed = time.monotonic() - start
-    return report
-
-
-def _run_coldstart(ds: InteractionDataset, cfg: ProtocolConfig) -> MetricsReport:
-    qf = 0.3 if cfg.protocol == "coldstart-30" else cfg.query_fraction
-    spec = SplitSpec(mode="user-split", query_fraction=qf, fold_count=cfg.folds, seed=cfg.seed)
-    folds = split_users(ds, spec)
+    folds = _interaction_folds if cfg.protocol == "interaction-split" else _coldstart_folds
     report = MetricsReport(protocol=cfg.protocol, k=cfg.k, seed=cfg.seed)
-
-    for f, fold in enumerate(folds):
-        train_ds = restrict(ds, fold.train_projects)
-        seen = seen_libraries(ds, fold.train_projects)
+    failure: Exception | None = None
+    for f, (train_ds, seen, cases) in enumerate(folds(ds, cfg)):
         pop = popularity(train_ds)
-        split_rng = np.random.default_rng(cfg.seed * 7919 + f)
-        policy_rng = np.random.default_rng(cfg.seed * 104729 + f)
-
-        try:
-            if cfg.policy == "agent":
-                table, rep, net = _train_fold(train_ds, cfg, f)
-                allowed = rep.has_rep
-            else:
-                rep = net = None
-                allowed = np.zeros(ds.n_libraries, dtype=bool)
-                allowed[sorted(seen)] = True
-        except Exception as exc:  # noqa: BLE001 - fold failure is recorded, not fatal
-            warnings.warn(f"fold {f} failed: {exc}")
-            report.fold_metrics.append({n: 0.0 for n in MetricsReport.METRIC_NAMES})
-            report.skipped.append(0)
-            report.incomplete.append(f)
-            continue
-
-        rec_lists, truths, skipped = [], [], 0
-        for u in fold.test_projects:
-            items = ds.by_project[int(u)]
-            if len(items) < 2:
-                skipped += 1
-                continue
-            query, test = split_query_test(items, qf, split_rng)
-            truth = tuple(i for i in test if i in seen)
-            query_known = tuple(i for i in query if i in seen)
-            if not truth or not query_known:
-                skipped += 1
-                continue
-            if cfg.policy == "agent":
-                rec = recommend(query_known, cfg.k, net, rep, mode=cfg.mode)
-            else:
-                rec = _baseline_recommend(cfg.policy, query_known, allowed, cfg.k, pop, policy_rng)
-            rec_lists.append(rec)
-            truths.append(truth)
-
-        if not rec_lists:
+        evaluated = [(query, truth) for query, truth in cases if query and truth]
+        skipped = len(cases) - len(evaluated)
+        if not evaluated:
+            warnings.warn(f"fold {f} has no project to evaluate")
+        else:
+            try:
+                policy = _recommender(train_ds, seen, pop, cfg, f)
+            except (DataError, NumericError) as exc:
+                warnings.warn(f"fold {f} failed: {exc}")
+                failure, evaluated, skipped = exc, [], 0
+        if not evaluated:
             report.fold_metrics.append({n: 0.0 for n in MetricsReport.METRIC_NAMES})
             report.skipped.append(skipped)
             report.incomplete.append(f)
             continue
+        rec_lists = [policy(query) for query, _ in evaluated]
+        truths = [truth for _, truth in evaluated]
         report.fold_metrics.append(
             _fold_metrics(rec_lists, truths, pop, ds.n_libraries, cfg.k, cfg.rank_discounted_epc)
         )
         report.skipped.append(skipped)
-    return report
-
-
-def _run_interaction_split(ds: InteractionDataset, cfg: ProtocolConfig) -> MetricsReport:
-    train_lists, test_lists = split_interactions(ds, cfg.train_fraction, cfg.seed)
-    edges = tuple((u, i) for u in range(ds.n_projects) for i in train_lists[u])
-    train_ds = InteractionDataset(ds.projects, ds.libraries, edges)
-    seen = {i for _, i in edges}
-    pop = popularity(train_ds)
-    policy_rng = np.random.default_rng(cfg.seed * 104729)
-
-    report = MetricsReport(protocol=cfg.protocol, k=cfg.k, seed=cfg.seed)
-    if cfg.policy == "agent":
-        table, rep, net = _train_fold(train_ds, cfg, 0)
-        allowed = rep.has_rep
-    else:
-        rep = net = None
-        allowed = np.zeros(ds.n_libraries, dtype=bool)
-        allowed[sorted(seen)] = True
-
-    rec_lists, truths, skipped = [], [], 0
-    for u in range(ds.n_projects):
-        truth = tuple(i for i in test_lists[u] if i in seen)
-        query = train_lists[u]
-        if not truth or not query:
-            skipped += 1
-            continue
-        if cfg.policy == "agent":
-            rec = recommend(query, cfg.k, net, rep, mode=cfg.mode)
-        else:
-            rec = _baseline_recommend(cfg.policy, query, allowed, cfg.k, pop, policy_rng)
-        rec_lists.append(rec)
-        truths.append(truth)
-
-    if not rec_lists:
-        raise DataError("interaction-split evaluation produced no test projects")
-    report.fold_metrics.append(
-        _fold_metrics(rec_lists, truths, pop, ds.n_libraries, cfg.k, cfg.rank_discounted_epc)
-    )
-    report.skipped.append(skipped)
+    if len(report.incomplete) == len(report.fold_metrics):
+        raise failure or DataError(f"{cfg.protocol} evaluation produced no test projects")
+    report.elapsed = time.monotonic() - start
     return report

@@ -20,7 +20,6 @@ from tplrec.agent import (
     cql_loss,
     gen_transition,
     reward,
-    reward_expanded,
     train_agent,
 )
 from tplrec.cli import main
@@ -35,6 +34,8 @@ from tplrec.evaluation import (
     run_protocol,
 )
 from tplrec.synth import head_tail, planted_communities
+
+from oracles import reward_expanded
 
 FAST_EMBED = EmbedConfig(dim=32, batch_size=512, negatives=64, learning_rate=1e-3,
                          patience=10, max_epochs=80, seed=0)

@@ -13,17 +13,18 @@ from tplrec.agent import (
     gen_transition,
     load_qnetwork,
     partition_weights,
-    q_target,
     recommend,
     reward,
-    reward_expanded,
     save_qnetwork,
+    _q_targets,
     train_agent,
 )
 from tplrec.coldstart import RepresentativeTable, aggregate, build_representatives
 from tplrec.data import ingest, popularity
 from tplrec.embed import EmbeddingTable
 from tplrec.errors import DataError
+
+from oracles import reward_expanded
 
 
 def unit_rows(rng, n, d):
@@ -163,7 +164,7 @@ class TestQTarget:
     def test_terminal_is_reward(self):
         net = QNetwork(3, 4, hidden=8, rng=0)
         t = Transition(np.zeros(3), 1, 1.7, np.zeros(3), True)
-        assert q_target(t, net, net.clone(), 0.9) == pytest.approx(1.7)
+        assert _q_targets([t], net, net.clone(), 0.9)[0] == pytest.approx(1.7)
 
     def test_double_dqn_uses_target_values(self):
         # online picks the argmax action, target supplies its value
@@ -172,12 +173,12 @@ class TestQTarget:
         t = Transition(np.ones(2), 0, 1.0, np.array([0.3, -0.2]), False)
         a_star = int(np.argmax(online.forward(t.next_state)[0]))
         want = 1.0 + 0.9 * float(target.forward(t.next_state)[0, a_star])
-        assert q_target(t, online, target, 0.9) == pytest.approx(want)
+        assert _q_targets([t], online, target, 0.9)[0] == pytest.approx(want)
 
     def test_gamma_zero_is_reward(self):
         online = QNetwork(2, 3, hidden=4, rng=3)
         t = Transition(np.ones(2), 0, 0.8, np.ones(2), False)
-        assert q_target(t, online, online.clone(), 0.0) == pytest.approx(0.8)
+        assert _q_targets([t], online, online.clone(), 0.0)[0] == pytest.approx(0.8)
 
     def test_gamma_one_hand_value(self):
         # r=1 and the online-argmax action has target value 0.5 -> y = 1.5
@@ -188,7 +189,7 @@ class TestQTarget:
         shift = 0.5 - float(target.forward(s_next)[0, a_star])
         target.params["bv"][0] += shift  # move V so Q(s', a*) is exactly 0.5
         t = Transition(np.ones(2), 0, 1.0, s_next, False)
-        assert q_target(t, online, target, 1.0) == pytest.approx(1.5)
+        assert _q_targets([t], online, target, 1.0)[0] == pytest.approx(1.5)
 
 
 class TestCQLLoss:
@@ -203,7 +204,6 @@ class TestCQLLoss:
         loss, _, reg = cql_loss(batch, net, target, 0.0, 0.9)
         q = net.forward(np.stack([t.state for t in batch]))
         q_a = q[np.arange(6), [t.action for t in batch]]
-        from tplrec.agent import _q_targets
         y = _q_targets(batch, net, target, 0.9)
         assert loss == pytest.approx(float(np.mean(0.5 * (y - q_a) ** 2)))
         assert np.all(reg >= -1e-12)

@@ -58,6 +58,40 @@ class TestLoadConfig:
         assert cfg.query_fraction == 0.3
 
 
+BAD_VALUES = [
+    ("--temperature", "0"),
+    ("--mu-rare", "0.5"),
+    ("--target-sync", "0"),
+    ("--hidden", "0"),
+    ("--agent-batch", "0"),
+    ("--transitions-per-project", "0"),
+    ("--layers", "-1"),
+    ("--k", "0"),
+    ("--mode", "bogus"),
+    ("--blend", "2"),
+    ("--query-fraction", "1"),
+    ("--train-fraction", "0"),
+]
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("key,value", BAD_VALUES)
+    def test_rejected_before_training(self, dataset_file, tmp_path, capsys, monkeypatch,
+                                      command, key, value):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("tplrec.cli.train_embeddings", no_training)
+        monkeypatch.setattr("tplrec.evaluation.train_embeddings", no_training)
+        path, _ = dataset_file
+        argv = [command, "--dataset", str(path), "--output", str(tmp_path / "out"), key, value]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:")
+        assert not (tmp_path / "out").exists()
+
+
 class TestExitCodes:
     def test_no_command_is_usage(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -153,6 +187,10 @@ class TestTrainRecommend:
     def test_recommend_missing_model(self, tmp_path, capsys):
         code = main(["recommend", "--model-dir", str(tmp_path / "void"), "--query", "x"])
         assert code == EXIT_DATA
+
+    def test_recommend_k_zero_is_usage(self, tmp_path, capsys):
+        code = main(["recommend", "--model-dir", str(tmp_path / "void"), "--query", "x", "--k", "0"])
+        assert code == EXIT_USAGE
 
 
 class TestEvaluate:

@@ -8,14 +8,11 @@ from tplrec.data import (
     SplitSpec,
     ingest,
     popularity,
-    read_split_manifest,
     restrict,
     seen_libraries,
     split_interactions,
     split_query_test,
     split_users,
-    ground_truth,
-    write_split_manifest,
 )
 from tplrec.errors import DataError, ParseError
 
@@ -151,13 +148,6 @@ class TestUserSplit:
         with pytest.raises(DataError):
             split_users(ten_projects(), SplitSpec(fold_count=11, seed=0))
 
-    def test_unseen_library_dropped_from_truth(self):
-        ds = toy(["p1\tl1", "p2\tl1", "p2\tl2"])
-        # project p2 is in test; l2 appears only in its interactions
-        truth = ground_truth(ds, train_projects=[0], test_projects=[1])
-        l1 = ds.libraries.index("l1")
-        assert truth[1] == (l1,)
-
 
 class TestQueryTestSplit:
     def test_thirty_percent_of_ten(self):
@@ -220,11 +210,3 @@ class TestRestrict:
     def test_seen_libraries(self):
         ds = toy(["p1\tl1", "p2\tl2"])
         assert seen_libraries(ds, [0]) == {0}
-
-
-class TestManifest:
-    def test_roundtrip(self, tmp_path):
-        rows = [(0, "train", "p1", ("l1", "l2")), (0, "test", "p2", ("l1",))]
-        path = tmp_path / "splits.tsv"
-        write_split_manifest(path, rows)
-        assert read_split_manifest(path) == rows

@@ -10,7 +10,6 @@ from tplrec.embed import (
     build_adjacency,
     debiased_contrastive_loss,
     propagate,
-    score,
     train_embeddings,
 )
 from tplrec.synth import planted_communities
@@ -163,28 +162,6 @@ class TestContrastiveLoss:
         low, *_ = debiased_contrastive_loss(u, p, ng, np.array([1.0 - beta * 0.05]), 0.2)
         high, *_ = debiased_contrastive_loss(u, p, ng, np.array([1.0 - beta * 0.95]), 0.2)
         assert high >= low
-
-
-class TestScore:
-    def test_identical_unit_vectors(self):
-        v = np.array([0.6, 0.8])
-        assert score(v, v) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
-
-    def test_hand_value(self):
-        assert score(np.array([0.6, 0.8]), np.array([0.8, 0.6])) == pytest.approx(0.96)
-
-    def test_symmetric_and_bounded(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            a = rng.normal(size=6)
-            b = rng.normal(size=6)
-            a /= np.linalg.norm(a)
-            b /= np.linalg.norm(b)
-            assert score(a, b) == pytest.approx(score(b, a))
-            assert -1.0 - 1e-12 <= score(a, b) <= 1.0 + 1e-12
 
 
 def small_cfg(**kw):

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from tplrec.agent import AgentConfig
 from tplrec.data import ingest, popularity
 from tplrec.embed import EmbedConfig
-from tplrec.errors import DataError
+import tplrec.evaluation
+from tplrec.errors import DataError, NumericError
 from tplrec.evaluation import (
     MetricsReport,
     ProtocolConfig,
@@ -180,6 +181,10 @@ class TestProtocols:
             ProtocolConfig(protocol="bogus")
         with pytest.raises(DataError):
             ProtocolConfig(policy="oracle")
+        with pytest.raises(DataError):
+            ProtocolConfig(mode="greedy")
+        with pytest.raises(DataError):
+            ProtocolConfig(k=0)
 
     def test_coldstart_runs_and_reports(self):
         ds = planted_communities(**SMALL)
@@ -219,3 +224,44 @@ class TestProtocols:
         b = run_protocol(ds, fast_cfg(protocol="coldstart-100", policy="popularity",
                                       query_fraction=0.8))
         assert a.fold_metrics != b.fold_metrics
+
+
+def fail_training(monkeypatch, error_for_seed):
+    """Make fold training raise `error_for_seed(embed seed)` where it returns one."""
+    real = tplrec.evaluation.train_embeddings
+
+    def train(ds, cfg, *args, **kwargs):
+        error = error_for_seed(cfg.seed)
+        if error is not None:
+            raise error
+        return real(ds, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(tplrec.evaluation, "train_embeddings", train)
+
+
+class TestFoldFailures:
+    def test_numeric_error_marks_fold_incomplete(self, monkeypatch):
+        # fold f trains with embed seed 0 + f
+        fail_training(monkeypatch, lambda seed: NumericError("diverged") if seed == 1 else None)
+        ds = planted_communities(**SMALL)
+        with pytest.warns(UserWarning, match="fold 1 failed"):
+            report = run_protocol(ds, fast_cfg())
+        assert report.incomplete == [1]
+        assert report.averages == report.fold_metrics[0]
+
+    def test_programming_error_propagates(self, monkeypatch):
+        fail_training(monkeypatch, lambda seed: TypeError("bug") if seed == 1 else None)
+        with pytest.raises(TypeError):
+            run_protocol(planted_communities(**SMALL), fast_cfg())
+
+    @pytest.mark.parametrize("protocol", ["coldstart-30", "interaction-split"])
+    def test_every_fold_failing_raises(self, monkeypatch, protocol):
+        fail_training(monkeypatch, lambda seed: NumericError("diverged"))
+        with pytest.raises(NumericError), pytest.warns(UserWarning):
+            run_protocol(planted_communities(**SMALL), fast_cfg(protocol=protocol))
+
+    def test_no_project_to_evaluate_raises(self):
+        # every project has one library, so no test project splits into query and truth
+        ds = ingest([f"p{u}\tl{u % 3}" for u in range(8)])
+        with pytest.raises(DataError, match="no test projects"), pytest.warns(UserWarning):
+            run_protocol(ds, fast_cfg(policy="popularity"))
