@@ -6,7 +6,7 @@ path the CLI uses, and shows what each split protocol produces.
 import tempfile
 from pathlib import Path
 
-from tplrec import SplitSpec, ingest, popularity, split_interactions, split_query_test, split_users
+from tplrec import ingest, popularity, split_interactions, split_query_test, split_users
 from tplrec.synth import planted_communities
 
 ds = planted_communities(n_projects=30, n_libraries=24, n_communities=3,
@@ -28,7 +28,7 @@ print(f"most popular library rate: {pop.rates.max():.3f}")
 print(f"rare libraries (rate < 0.1): {sum(pop.is_rare(i) for i in range(ds.n_libraries))}")
 
 # user-split folds: each test project is entirely held out
-folds = split_users(ds, SplitSpec(fold_count=5, seed=0))
+folds = split_users(ds, fold_count=5, seed=0)
 print(f"\n5 user folds, test sizes: {[len(f.test_projects) for f in folds]}")
 
 # a cold-start project reveals only part of its interaction list

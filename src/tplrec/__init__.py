@@ -19,11 +19,10 @@ from .agent import (
     save_qnetwork,
     train_agent,
 )
-from .coldstart import RepresentativeTable, aggregate, build_representatives, representative
+from .coldstart import RepresentativeTable, aggregate, build_representatives
 from .data import (
     InteractionDataset,
     PopularityTable,
-    SplitSpec,
     ingest,
     popularity,
     split_interactions,
@@ -53,8 +52,8 @@ __all__ = [
     "AgentConfig", "QNetwork", "ReplayBuffer", "Transition", "cql_loss",
     "gen_transition", "load_qnetwork", "recommend", "reward",
     "save_qnetwork", "train_agent",
-    "RepresentativeTable", "aggregate", "build_representatives", "representative",
-    "InteractionDataset", "PopularityTable", "SplitSpec", "ingest", "popularity",
+    "RepresentativeTable", "aggregate", "build_representatives",
+    "InteractionDataset", "PopularityTable", "ingest", "popularity",
     "split_interactions", "split_query_test", "split_users",
     "EmbedConfig", "EmbeddingTable", "build_adjacency", "debiased_contrastive_loss",
     "propagate", "train_embeddings",

@@ -56,7 +56,9 @@ class AgentConfig:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if abs(sum(self.mu) - 1.0) > 1e-9:
             raise ValueError(f"partition ratios must sum to 1, got {self.mu}")
-        for name in ("batch_size", "hidden", "target_sync", "transitions_per_project"):
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("batch_size", "hidden", "target_sync", "capacity", "transitions_per_project"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -385,8 +387,8 @@ def train_agent(train: InteractionDataset, table: EmbeddingTable, rep: Represent
     opt = Adam(cfg.learning_rate)
     stats = AgentStats()
 
-    eligible = [u for u in range(train.n_projects) if len(train.by_project[u]) >= 2]
-    if not eligible:
+    eligible = np.flatnonzero(np.bincount(train.interactions[:, 0], minlength=train.n_projects) >= 2)
+    if not len(eligible):
         raise DataError("no training project has >= 2 interactions")
     per_epoch_new = len(eligible) * cfg.transitions_per_project
     steps_per_epoch = cfg.grad_steps_per_epoch or max(1, 2 * int(np.ceil(per_epoch_new / cfg.batch_size)))

@@ -31,8 +31,9 @@ def read_artifact(path, magic: bytes, layout) -> list[np.ndarray]:
     """The arrays of an artifact, where `layout(*dims)` lists each one's
     (shape, stored dtype).
 
-    Raises DataError on a wrong magic or version, or when the file's
-    length differs from the one its header implies.
+    Raises DataError on a wrong magic or version, when the file's
+    length differs from the one its header implies, or when a float
+    array holds NaN or Inf.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != magic:
@@ -49,6 +50,9 @@ def read_artifact(path, magic: bytes, layout) -> list[np.ndarray]:
         raise DataError(f"{path} has {len(raw)} bytes where its header implies {expected}")
     arrays, off = [], _HEADER.size
     for (shape, dtype), size in zip(parts, sizes):
-        arrays.append(np.frombuffer(raw[off:off + size], dtype=dtype).reshape(shape))
+        array = np.frombuffer(raw[off:off + size], dtype=dtype).reshape(shape)
+        if dtype.kind == "f" and not np.isfinite(array).all():
+            raise DataError(f"{path} holds non-finite values")
+        arrays.append(array)
         off += size
     return arrays

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .artifact import read_artifact, write_artifact
 from .data import InteractionDataset
@@ -47,39 +48,26 @@ class RepresentativeTable:
         return cls(vectors=vectors.astype(np.float64), blend=float(blend[0]), has_rep=mask.astype(bool))
 
 
-def representative(i: int, table: EmbeddingTable, train: InteractionDataset, blend: float) -> np.ndarray:
-    """Representative of library i: blend * weighted mean of its users'
-    embeddings + (1 - blend) * its own embedding.
-
-    Weights are the cosine scores y(u, i) clamped at zero; if all clamp
-    to zero the unweighted mean of the user embeddings is used, keeping
-    the user term a convex combination.
-    """
-    users = train.by_library[i]
-    if not users:
-        raise DataError(f"library {i} has no training interactions")
-    e_i = table.libraries[i]
-    e_users = table.projects[list(users)]
-    weights = np.maximum(e_users @ e_i, 0.0)
-    total = weights.sum()
-    if total > 0.0:
-        user_term = (weights[:, None] * e_users).sum(axis=0) / total
-    else:
-        user_term = e_users.mean(axis=0)
-    return blend * user_term + (1.0 - blend) * e_i
-
-
 def build_representatives(table: EmbeddingTable, train: InteractionDataset, blend: float) -> RepresentativeTable:
-    """Precompute representatives for every library with training interactions."""
+    """Representatives of every library with training interactions.
+
+    Library i's representative is blend * the weighted mean of its users'
+    embeddings + (1 - blend) * its own embedding. Weights are the cosine
+    scores y(u, i) clamped at zero, normalized per library before the
+    sum; if all clamp to zero the users weigh equally, keeping the user
+    term a convex combination. Libraries without users get zero vectors.
+    """
     if not 0.0 <= blend <= 1.0:
         raise DataError(f"blend weight must be in [0, 1], got {blend}")
-    m = train.n_libraries
-    vectors = np.zeros((m, table.dim))
-    has_rep = np.zeros(m, dtype=bool)
-    for i in range(m):
-        if train.by_library[i]:
-            vectors[i] = representative(i, table, train, blend)
-            has_rep[i] = True
+    n, m = train.n_projects, train.n_libraries
+    users, libs = train.interactions.T
+    weights = np.maximum(np.einsum("ed,ed->e", table.projects[users], table.libraries[libs]), 0.0)
+    total = np.bincount(libs, weights=weights, minlength=m)[libs]
+    degree = np.bincount(libs, minlength=m)
+    share = np.where(total > 0.0, weights / np.where(total > 0.0, total, 1.0), 1.0 / degree[libs])
+    user_term = sp.csr_matrix((share, (libs, users)), shape=(m, n)) @ table.projects
+    has_rep = degree > 0
+    vectors = np.where(has_rep[:, None], blend * user_term + (1.0 - blend) * table.libraries, 0.0)
     return RepresentativeTable(vectors=vectors, blend=blend, has_rep=has_rep)
 
 

@@ -29,29 +29,35 @@ def _round_half_up(x: float) -> int:
 class InteractionDataset:
     """Bipartite project-library interaction records with dense indices.
 
-    ``interactions`` holds (project-index, library-index) pairs. Every
-    project must occur in at least one pair; libraries may be isolated
-    (they can still appear in a catalog without recorded usage).
+    ``interactions`` is the graph, stored once: a read-only (E, 2) int64
+    array of (project-index, library-index) pairs in ingest order. The
+    constructor accepts any integer pairs. Every project must occur in
+    at least one pair; libraries may be isolated (they can still appear
+    in a catalog without recorded usage). ``by_project`` and
+    ``by_library`` are CSR views of it: one sorted index array per row.
     """
 
     projects: tuple[str, ...]
     libraries: tuple[str, ...]
-    interactions: tuple[tuple[int, int], ...]
+    interactions: np.ndarray
 
     def __post_init__(self):
         n, m = len(self.projects), len(self.libraries)
-        seen: set[tuple[int, int]] = set()
-        used: set[int] = set()
-        for u, i in self.interactions:
-            if not (0 <= u < n) or not (0 <= i < m):
-                raise DataError(f"interaction ({u}, {i}) out of range for {n} projects, {m} libraries")
-            if (u, i) in seen:
-                raise DataError(f"duplicate interaction ({u}, {i})")
-            seen.add((u, i))
-            used.add(u)
-        if len(used) != n:
-            missing = sorted(set(range(n)) - used)
-            raise DataError(f"projects without interactions: {missing[:5]}")
+        edges = np.array(self.interactions, dtype=np.int64).reshape(len(self.interactions), 2)
+        u, i = edges.T
+        bad = (u < 0) | (u >= n) | (i < 0) | (i >= m)
+        if bad.any():
+            j = np.argmax(bad)
+            raise DataError(f"interaction ({u[j]}, {i[j]}) out of range for {n} projects, {m} libraries")
+        _, first = np.unique(u * m + i, return_index=True)
+        if len(first) < len(edges):
+            j = np.setdiff1d(np.arange(len(edges)), first)[0]
+            raise DataError(f"duplicate interaction ({u[j]}, {i[j]})")
+        missing = np.flatnonzero(np.bincount(u, minlength=n) == 0)
+        if len(missing):
+            raise DataError(f"projects without interactions: {missing[:5].tolist()}")
+        edges.flags.writeable = False
+        object.__setattr__(self, "interactions", edges)
 
     @property
     def n_projects(self) -> int:
@@ -66,22 +72,19 @@ class InteractionDataset:
         return len(self.interactions)
 
     @cached_property
-    def by_project(self) -> tuple[tuple[int, ...], ...]:
-        lists: list[list[int]] = [[] for _ in range(self.n_projects)]
-        for u, i in self.interactions:
-            lists[u].append(i)
-        return tuple(tuple(sorted(l)) for l in lists)
+    def by_project(self) -> tuple[np.ndarray, ...]:
+        return _rows(self.interactions[:, 0], self.interactions[:, 1], self.n_projects)
 
     @cached_property
-    def by_library(self) -> tuple[tuple[int, ...], ...]:
-        lists: list[list[int]] = [[] for _ in range(self.n_libraries)]
-        for u, i in self.interactions:
-            lists[i].append(u)
-        return tuple(tuple(sorted(l)) for l in lists)
+    def by_library(self) -> tuple[np.ndarray, ...]:
+        return _rows(self.interactions[:, 1], self.interactions[:, 0], self.n_libraries)
 
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        return np.array(self.interactions, dtype=np.int64).reshape(-1, 2)
+
+def _rows(keys: np.ndarray, values: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
+    """`values` grouped by `keys` in 0..count-1: one sorted read-only array per key."""
+    indices = values[np.lexsort((values, keys))]
+    indices.flags.writeable = False
+    return tuple(np.split(indices, np.cumsum(np.bincount(keys, minlength=count))[:-1]))
 
 
 def ingest(source) -> InteractionDataset:
@@ -101,8 +104,7 @@ def ingest(source) -> InteractionDataset:
 
     projects: dict[str, int] = {}
     libraries: dict[str, int] = {}
-    pairs: list[tuple[int, int]] = []
-    pairset: set[tuple[int, int]] = set()
+    pairs: list[int] = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -110,14 +112,13 @@ def ingest(source) -> InteractionDataset:
         parts = line.split("\t") if "\t" in line else line.split()
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ParseError(f"line {lineno}: expected '<project><TAB><library>', got {raw!r}")
-        u = projects.setdefault(parts[0], len(projects))
-        i = libraries.setdefault(parts[1], len(libraries))
-        if (u, i) not in pairset:
-            pairset.add((u, i))
-            pairs.append((u, i))
+        pairs.append(projects.setdefault(parts[0], len(projects)))
+        pairs.append(libraries.setdefault(parts[1], len(libraries)))
     if not pairs:
         raise DataError("empty dataset: no interactions found")
-    return InteractionDataset(tuple(projects), tuple(libraries), tuple(pairs))
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    _, first = np.unique(edges[:, 0] * len(libraries) + edges[:, 1], return_index=True)
+    return InteractionDataset(tuple(projects), tuple(libraries), edges[np.sort(first)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,26 +137,9 @@ class PopularityTable:
 
 def popularity(train: InteractionDataset) -> PopularityTable:
     """rate(i) = |projects that used i| / N over the training split."""
-    libs = [i for _, i in train.interactions]
-    counts = np.bincount(libs, minlength=train.n_libraries).astype(np.int64)
+    counts = np.bincount(train.interactions[:, 1], minlength=train.n_libraries).astype(np.int64)
     rates = counts / float(train.n_projects)
     return PopularityTable(counts=counts, rates=rates)
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    mode: str = "user-split"
-    query_fraction: float = 0.5
-    fold_count: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("user-split", "interaction-split"):
-            raise DataError(f"unknown split mode: {self.mode}")
-        if not 0.0 < self.query_fraction < 1.0:
-            raise DataError(f"query_fraction must be in (0, 1), got {self.query_fraction}")
-        if self.fold_count < 2:
-            raise DataError(f"fold_count must be >= 2, got {self.fold_count}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,38 +148,36 @@ class UserFold:
     test_projects: np.ndarray
 
 
-def split_users(ds: InteractionDataset, spec: SplitSpec) -> list[UserFold]:
+def split_users(ds: InteractionDataset, fold_count: int, seed: int = 0) -> list[UserFold]:
     """Partition projects into disjoint k-fold train/test sets."""
-    if spec.mode != "user-split":
-        raise DataError(f"split_users requires user-split mode, got {spec.mode}")
     n = ds.n_projects
-    if spec.fold_count > n:
-        raise DataError(f"fold_count {spec.fold_count} exceeds project count {n}")
-    perm = np.random.default_rng(spec.seed).permutation(n)
-    groups = np.array_split(perm, spec.fold_count)
+    if not 2 <= fold_count <= n:
+        raise DataError(f"fold_count must be in [2, {n}] for {n} projects, got {fold_count}")
+    perm = np.random.default_rng(seed).permutation(n)
+    groups = np.array_split(perm, fold_count)
     folds = []
-    for f in range(spec.fold_count):
+    for f in range(fold_count):
         test = np.sort(groups[f])
-        train = np.sort(np.concatenate([groups[g] for g in range(spec.fold_count) if g != f]))
+        train = np.sort(np.concatenate([groups[g] for g in range(fold_count) if g != f]))
         folds.append(UserFold(train_projects=train, test_projects=test))
     return folds
 
 
-def seen_libraries(ds: InteractionDataset, train_projects: Sequence[int]) -> set[int]:
-    """Libraries that occur in the training projects' interactions."""
-    train = set(int(u) for u in train_projects)
-    return {i for u, i in ds.interactions if u in train}
+def seen_libraries(ds: InteractionDataset, train_projects) -> np.ndarray:
+    """Boolean mask over the catalog: libraries that occur in the training
+    projects' interactions."""
+    used = ds.interactions[np.isin(ds.interactions[:, 0], train_projects), 1]
+    return np.bincount(used, minlength=ds.n_libraries) > 0
 
 
 def restrict(ds: InteractionDataset, project_indices) -> InteractionDataset:
     """Sub-dataset over the given projects; the library catalog is kept whole."""
-    idx = sorted(int(u) for u in project_indices)
-    remap = {u: k for k, u in enumerate(idx)}
-    pairs = tuple((remap[u], i) for u, i in ds.interactions if u in remap)
+    idx = np.unique(np.asarray(project_indices, dtype=np.int64))
+    edges = ds.interactions[np.isin(ds.interactions[:, 0], idx)]
     return InteractionDataset(
         projects=tuple(ds.projects[u] for u in idx),
         libraries=ds.libraries,
-        interactions=pairs,
+        interactions=np.column_stack([np.searchsorted(idx, edges[:, 0]), edges[:, 1]]),
     )
 
 
@@ -205,7 +187,7 @@ def split_query_test(items: Sequence[int], fraction: float, seed_or_rng=0) -> tu
     |query| = max(1, round-half-up(fraction * n)), clamped so the test
     side is never empty.
     """
-    items = tuple(items)
+    items = np.asarray(items, dtype=np.int64)
     if not 0.0 < fraction < 1.0:
         raise DataError(f"query fraction must be in (0, 1), got {fraction}")
     n = len(items)
@@ -214,9 +196,7 @@ def split_query_test(items: Sequence[int], fraction: float, seed_or_rng=0) -> tu
     q = min(n - 1, max(1, _round_half_up(fraction * n)))
     rng = _as_rng(seed_or_rng)
     perm = rng.permutation(n)
-    query = tuple(sorted(items[j] for j in perm[:q]))
-    test = tuple(sorted(items[j] for j in perm[q:]))
-    return query, test
+    return tuple(np.sort(items[perm[:q]]).tolist()), tuple(np.sort(items[perm[q:]]).tolist())
 
 
 def split_interactions(ds: InteractionDataset, train_fraction: float, seed: int = 0):
@@ -235,11 +215,11 @@ def split_interactions(ds: InteractionDataset, train_fraction: float, seed: int 
         items = ds.by_project[u]
         n = len(items)
         if n == 1:
-            train_lists.append(items)
+            train_lists.append(tuple(items.tolist()))
             test_lists.append(())
             continue
         t = min(n - 1, max(1, _round_half_up(train_fraction * n)))
         perm = rng.permutation(n)
-        train_lists.append(tuple(sorted(items[j] for j in perm[:t])))
-        test_lists.append(tuple(sorted(items[j] for j in perm[t:])))
+        train_lists.append(tuple(np.sort(items[perm[:t]]).tolist()))
+        test_lists.append(tuple(np.sort(items[perm[t:]]).tolist()))
     return train_lists, test_lists

@@ -4,6 +4,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -12,7 +13,6 @@ from .coldstart import build_representatives
 from .data import (
     InteractionDataset,
     PopularityTable,
-    SplitSpec,
     popularity,
     restrict,
     seen_libraries,
@@ -142,6 +142,8 @@ class ProtocolConfig:
             raise DataError(f"unknown mode {self.mode}; expected one of {MODES}")
         if self.k < 1:
             raise DataError(f"k must be >= 1, got {self.k}")
+        if self.folds < 2:
+            raise DataError(f"folds must be >= 2, got {self.folds}")
         for name in ("query_fraction", "train_fraction"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise DataError(f"{name} must be in (0, 1), got {getattr(self, name)}")
@@ -171,26 +173,24 @@ def _fold_metrics(rec_lists, truths, pop, m, k, rank_discounted) -> dict[str, fl
     }
 
 
-def _recommender(train_ds: InteractionDataset, seen: set[int], pop: PopularityTable,
+def _recommender(train_ds: InteractionDataset, seen: np.ndarray, pop: PopularityTable,
                  cfg: ProtocolConfig, fold: int):
-    """The fold's policy, trained on `train_ds`, as a function from a query to its top-k list."""
+    """The fold's policy, trained on `train_ds`, as a function from a query to its top-k list.
+    The baselines recommend only libraries in the `seen` mask."""
     if cfg.policy == "agent":
         emb = train_embeddings(train_ds, replace(cfg.embed, seed=cfg.embed.seed + fold))
         rep = build_representatives(emb.table, train_ds, cfg.blend)
         net, _ = train_agent(train_ds, emb.table, rep, replace(cfg.agent, seed=cfg.agent.seed + fold))
         return lambda query: recommend(query, cfg.k, net, rep, mode=cfg.mode)
-    allowed = np.zeros(train_ds.n_libraries, dtype=bool)
-    allowed[sorted(seen)] = True
     rng = np.random.default_rng(cfg.seed * 104729 + fold)
-    return lambda query: _baseline_recommend(cfg.policy, query, allowed, cfg.k, pop, rng)
+    return lambda query: _baseline_recommend(cfg.policy, query, seen, cfg.k, pop, rng)
 
 
 def _coldstart_folds(ds: InteractionDataset, cfg: ProtocolConfig):
     """User-split k-fold: each test project reveals a query fraction of
     its libraries and is scored on the rest."""
     qf = 0.3 if cfg.protocol == "coldstart-30" else cfg.query_fraction
-    spec = SplitSpec(mode="user-split", query_fraction=qf, fold_count=cfg.folds, seed=cfg.seed)
-    for f, fold in enumerate(split_users(ds, spec)):
+    for f, fold in enumerate(split_users(ds, cfg.folds, cfg.seed)):
         seen = seen_libraries(ds, fold.train_projects)
         split_rng = np.random.default_rng(cfg.seed * 7919 + f)
         cases = []
@@ -200,7 +200,7 @@ def _coldstart_folds(ds: InteractionDataset, cfg: ProtocolConfig):
                 cases.append(((), ()))
                 continue
             query, test = split_query_test(items, qf, split_rng)
-            cases.append((tuple(i for i in query if i in seen), tuple(i for i in test if i in seen)))
+            cases.append((tuple(i for i in query if seen[i]), tuple(i for i in test if seen[i])))
         yield restrict(ds, fold.train_projects), seen, cases
 
 
@@ -208,9 +208,10 @@ def _interaction_folds(ds: InteractionDataset, cfg: ProtocolConfig):
     """One fold: every project trains on its retained interactions and is
     scored on its held-out ones."""
     train_lists, test_lists = split_interactions(ds, cfg.train_fraction, cfg.seed)
-    edges = tuple((u, i) for u in range(ds.n_projects) for i in train_lists[u])
-    seen = {i for _, i in edges}
-    cases = [(train_lists[u], tuple(i for i in test_lists[u] if i in seen)) for u in range(ds.n_projects)]
+    edges = np.column_stack([np.repeat(np.arange(ds.n_projects), [len(t) for t in train_lists]),
+                             np.fromiter(chain.from_iterable(train_lists), dtype=np.int64)])
+    seen = np.bincount(edges[:, 1], minlength=ds.n_libraries) > 0
+    cases = [(train_lists[u], tuple(i for i in test_lists[u] if seen[i])) for u in range(ds.n_projects)]
     yield InteractionDataset(ds.projects, ds.libraries, edges), seen, cases
 
 

@@ -18,3 +18,82 @@ def reward_expanded(action, known, table, train, blend):
             vote = float((e_users @ e_a).mean())
         total += blend * vote + (1.0 - blend) * float(table.libraries[int(i)] @ e_a)
     return 1.0 + total / len(list(known))
+
+
+def rows_loop(pairs, count, key):
+    """Per-edge grouping: for each row 0..count-1, the sorted other ends of
+    the pairs whose element `key` (0 project, 1 library) is that row."""
+    lists = [[] for _ in range(count)]
+    for pair in pairs:
+        lists[pair[key]].append(pair[1 - key])
+    return [sorted(l) for l in lists]
+
+
+def representative_loop(i, table, train, blend):
+    """Library i's representative from its users one by one: the clamped
+    cosine-weighted mean of their embeddings (the plain mean when every
+    weight clamps to zero), blended with the library's own embedding."""
+    users = [int(u) for u in train.by_library[i]]
+    e_i = table.libraries[i]
+    w = np.array([max(float(table.projects[u] @ e_i), 0.0) for u in users])
+    if w.sum() > 0:
+        user_term = sum(w[j] * table.projects[u] for j, u in enumerate(users)) / w.sum()
+    else:
+        user_term = np.mean([table.projects[u] for u in users], axis=0)
+    return blend * user_term + (1.0 - blend) * e_i
+
+
+def sample_negatives_loop(rng, users, user_items, m, k):
+    """Negative sampling with a per-row, per-element set lookup: each row
+    redraws its hits until none is one of its project's items, at most 64
+    times."""
+    out = rng.integers(0, m, size=(len(users), k))
+    for r, u in enumerate(users):
+        banned = user_items[u]
+        row = out[r]
+        for _ in range(64):
+            bad = np.fromiter((int(x) in banned for x in row), dtype=bool, count=k)
+            if not bad.any():
+                break
+            row[bad] = rng.integers(0, m, size=int(bad.sum()))
+    return out
+
+
+def holdout_validation_loop(rng, edges, n_projects, fraction):
+    """The validation holdout taken edge by edge in a random order: an edge
+    is taken while fewer than the target are, unless it is its project's
+    last remaining one."""
+    order = rng.permutation(len(edges))
+    target = max(1, int(round(fraction * len(edges))))
+    remaining = np.bincount(edges[:, 0], minlength=n_projects)
+    val_mask = np.zeros(len(edges), dtype=bool)
+    taken = 0
+    for j in order:
+        if taken >= target:
+            break
+        u = edges[j, 0]
+        if remaining[u] <= 1:
+            continue
+        val_mask[j] = True
+        remaining[u] -= 1
+        taken += 1
+    val = {}
+    for u, i in edges[val_mask]:
+        val.setdefault(int(u), []).append(int(i))
+    return edges[~val_mask], val
+
+
+def recall_at_10_dense(table, user_items, val):
+    """Validation Recall@10 from the dense N x M score matrix, masking each
+    project's training items from its set."""
+    if not val:
+        return 0.0
+    scores = table.projects @ table.libraries.T
+    total = 0.0
+    for u, items in val.items():
+        row = scores[u].copy()
+        row[list(user_items[u])] = -np.inf
+        k = min(10, row.shape[0])
+        top = np.argpartition(-row, k - 1)[:k]
+        total += len(set(int(t) for t in top) & set(items)) / len(items)
+    return total / len(val)

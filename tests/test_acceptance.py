@@ -23,7 +23,7 @@ from tplrec.agent import (
     train_agent,
 )
 from tplrec.cli import main
-from tplrec.coldstart import aggregate, build_representatives, representative
+from tplrec.coldstart import aggregate, build_representatives
 from tplrec.data import ingest, popularity
 from tplrec.embed import EmbedConfig, EmbeddingTable, debiased_contrastive_loss, build_adjacency, propagate, train_embeddings
 from tplrec.evaluation import (
@@ -157,7 +157,7 @@ def test_coldstart_algebra(capsys):
     # singleton user at full blend: representative equals the user's vector
     ds1 = ingest(["p\tl", "p\tl2", "q\tl2"])
     t1 = EmbeddingTable(unit_rows(rng, 2, 5), unit_rows(rng, 2, 5))
-    exact = np.array_equal(representative(0, t1, ds1, 1.0), t1.projects[0])
+    exact = np.array_equal(build_representatives(t1, ds1, 1.0).vectors[0], t1.projects[0])
 
     ds = random_bipartite(rng, 12, 9)
     table = EmbeddingTable(unit_rows(rng, ds.n_projects, 5), unit_rows(rng, ds.n_libraries, 5))

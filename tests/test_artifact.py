@@ -72,3 +72,33 @@ def test_recommend_exits_data_error_on_corrupt_artifact(tmp_path, capsys, name, 
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("data error:") and name in err[0]
+
+
+def flip_exponent(path, value=0):
+    """Set every exponent bit of the artifact's `value`-th stored float32,
+    which makes it Inf or NaN without changing the file's length."""
+    raw = bytearray(path.read_bytes())
+    at = 17 + 4 * value  # header: magic, version byte, three u32 dimensions
+    raw[at + 2] |= 0x80
+    raw[at + 3] |= 0x7F
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_non_finite_value_rejected(tmp_path, name):
+    write_model(tmp_path)
+    flip_exponent(tmp_path / name)
+    with pytest.raises(DataError, match="non-finite"):
+        LOADERS[name](tmp_path / name)
+
+
+@pytest.mark.parametrize("name", ["representatives.tplr", "qnet.tplq"])
+def test_recommend_exits_data_error_on_non_finite_artifact(tmp_path, capsys, name):
+    write_model(tmp_path)
+    flip_exponent(tmp_path / name, value=5)
+    argv = ["recommend", "--model-dir", str(tmp_path), "--query", "lib0", "--k", "2"]
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:") and name in err[0]

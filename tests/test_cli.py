@@ -71,6 +71,11 @@ BAD_VALUES = [
     ("--blend", "2"),
     ("--query-fraction", "1"),
     ("--train-fraction", "0"),
+    ("--embed-lr", "-1"),
+    ("--agent-lr", "0"),
+    ("--l2", "-1"),
+    ("--capacity", "0"),
+    ("--folds", "1"),
 ]
 
 

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tplrec.coldstart import RepresentativeTable, aggregate, build_representatives, representative
-from tplrec.data import ingest
+from tplrec.coldstart import RepresentativeTable, aggregate, build_representatives
+from tplrec.data import InteractionDataset, ingest
 from tplrec.embed import EmbeddingTable
 from tplrec.errors import DataError
+
+from oracles import representative_loop
 
 
 def unit_rows(rng, n, d):
@@ -31,20 +33,21 @@ class TestRepresentative:
         ds = ingest(["p\tl", "p\tl2", "q\tl2"])
         rng = np.random.default_rng(0)
         table = EmbeddingTable(unit_rows(rng, 2, 3), unit_rows(rng, 2, 3))
-        got = representative(0, table, ds, blend=1.0)
+        got = build_representatives(table, ds, blend=1.0).vectors[0]
         assert np.array_equal(got, table.projects[0])
 
     def test_blend_zero_equals_library(self):
         ds, table = random_setup(1)
+        rep = build_representatives(table, ds, blend=0.0)
         for i in range(ds.n_libraries):
-            if ds.by_library[i]:
-                got = representative(i, table, ds, blend=0.0)
-                assert np.allclose(got, table.libraries[i], atol=1e-12)
+            if len(ds.by_library[i]):
+                assert np.allclose(rep.vectors[i], table.libraries[i], atol=1e-12)
 
     def test_brute_force_oracle(self):
         ds, table = random_setup(2)
+        rep = build_representatives(table, ds, 0.5)
         for i in range(ds.n_libraries):
-            users = sorted(ds.by_library[i])
+            users = ds.by_library[i].tolist()
             if not users:
                 continue
             w = np.array([max(float(table.projects[u] @ table.libraries[i]), 0.0) for u in users])
@@ -53,7 +56,7 @@ class TestRepresentative:
             else:
                 user_term = np.mean([table.projects[u] for u in users], axis=0)
             want = 0.5 * user_term + 0.5 * table.libraries[i]
-            assert np.allclose(representative(i, table, ds, 0.5), want, atol=1e-12)
+            assert np.allclose(rep.vectors[i], want, atol=1e-12)
 
     def test_equal_weights_give_midpoint(self):
         # two users at equal cosine to the library, blend 1 -> midpoint
@@ -61,7 +64,7 @@ class TestRepresentative:
         projects = np.array([[1.0, 0.0], [0.0, 1.0]])
         libraries = np.array([[1.0, 1.0]]) / np.sqrt(2)
         table = EmbeddingTable(projects, libraries)
-        got = representative(0, table, ds, blend=1.0)
+        got = build_representatives(table, ds, blend=1.0).vectors[0]
         assert np.allclose(got, np.array([0.5, 0.5]), atol=1e-12)
 
     def test_all_clamped_falls_back_to_mean(self):
@@ -70,16 +73,8 @@ class TestRepresentative:
         libraries = np.array([[-1.0, 0.0]])
         # both cosine weights clamp to <= 0, so the user term is the plain mean
         table = EmbeddingTable(projects, libraries)
-        got = representative(0, table, ds, blend=1.0)
+        got = build_representatives(table, ds, blend=1.0).vectors[0]
         assert np.allclose(got, np.array([0.5, 0.5]))
-
-    def test_no_interactions_rejected(self):
-        ds, table = random_setup(3)
-        dead = next((i for i in range(ds.n_libraries) if not ds.by_library[i]), None)
-        if dead is None:
-            pytest.skip("all libraries used in this draw")
-        with pytest.raises(DataError):
-            representative(dead, table, ds, 0.5)
 
     def test_norm_bounded_for_unit_inputs(self):
         # convex combination of a convex user mix and the library vector
@@ -95,7 +90,27 @@ class TestBuildRepresentatives:
         ds, table = random_setup(4)
         rep = build_representatives(table, ds, 0.5)
         for i in range(ds.n_libraries):
-            assert rep.has_rep[i] == bool(ds.by_library[i])
+            assert rep.has_rep[i] == bool(len(ds.by_library[i]))
+
+    @given(seed=st.integers(0, 200), blend=st.sampled_from([0.0, 0.3, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_library_loop(self, seed, blend):
+        rng = np.random.default_rng(seed)
+        n, m, d = int(rng.integers(2, 9)), int(rng.integers(3, 9)), 4
+        pairs = [(u, int(i)) for u in range(n) for i in rng.choice(m - 1, rng.integers(1, m), replace=False)]
+        # the last library has no user, and library 0's users all point away from it
+        pairs = sorted(set(pairs) | {(0, 0), (1, 0)})
+        projects = unit_rows(rng, n, d)
+        libraries = unit_rows(rng, m, d)
+        for u in {u for u, i in pairs if i == 0}:  # reflect away from library 0
+            projects[u] -= 2.0 * max(float(projects[u] @ libraries[0]), 0.0) * libraries[0]
+        ds = InteractionDataset(tuple(f"p{u}" for u in range(n)), tuple(f"l{i}" for i in range(m)), pairs)
+        table = EmbeddingTable(projects, libraries)
+        rep = build_representatives(table, ds, blend)
+        assert not rep.has_rep[m - 1] and not rep.vectors[m - 1].any()
+        assert all(float(projects[u] @ libraries[0]) <= 0.0 for u in ds.by_library[0])
+        for i in np.flatnonzero(rep.has_rep):
+            assert np.abs(rep.vectors[i] - representative_loop(i, table, ds, blend)).max() <= 1e-12
 
     def test_blend_out_of_range(self):
         ds, table = random_setup(5)

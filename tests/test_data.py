@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from tplrec.data import (
     InteractionDataset,
-    SplitSpec,
     ingest,
     popularity,
     restrict,
@@ -15,6 +14,8 @@ from tplrec.data import (
     split_users,
 )
 from tplrec.errors import DataError, ParseError
+
+from oracles import rows_loop
 
 
 def toy(lines):
@@ -74,6 +75,60 @@ class TestDatasetInvariants:
             InteractionDataset(("p", "q"), ("l",), ((0, 0),))
 
 
+edge_lists = st.integers(1, 8).flatmap(lambda n: st.integers(1, 8).flatmap(lambda m: st.tuples(
+    st.just(n), st.just(m),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), unique=True, min_size=n, max_size=n * m),
+)))
+
+
+def dataset(n, m, pairs):
+    return InteractionDataset(tuple(f"p{u}" for u in range(n)), tuple(f"l{i}" for i in range(m)), pairs)
+
+
+class TestArrayCore:
+    @given(edge_lists)
+    @settings(max_examples=80, deadline=None)
+    def test_views_match_per_edge_loop(self, case):
+        n, m, pairs = case
+        if {u for u, _ in pairs} != set(range(n)):
+            with pytest.raises(DataError, match="projects without interactions"):
+                dataset(n, m, pairs)
+            return
+        ds = dataset(n, m, pairs)
+        assert ds.interactions.dtype == np.int64 and ds.interactions.tolist() == [list(p) for p in pairs]
+        assert [r.tolist() for r in ds.by_project] == rows_loop(pairs, n, 0)
+        assert [r.tolist() for r in ds.by_library] == rows_loop(pairs, m, 1)
+        assert popularity(ds).counts.tolist() == [len(r) for r in rows_loop(pairs, m, 1)]
+        for array in (ds.interactions, *ds.by_project, *ds.by_library):
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    @given(edge_lists, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bad_pairs_rejected(self, case, data):
+        n, m, pairs = case
+        j = data.draw(st.integers(0, len(pairs) - 1))
+        u, i = pairs[j]
+        with pytest.raises(DataError, match="duplicate"):
+            dataset(n, m, pairs + [(u, i)])
+        for bad in ((n, i), (u, m), (-1, i), (u, -1)):
+            with pytest.raises(DataError, match="out of range"):
+                dataset(n, m, pairs[:j] + [bad] + pairs[j + 1:])
+
+    def test_ingest_keeps_first_appearance_order(self):
+        ds = toy(["a\tx", "b\ty", "a\tx", "b\tx", "a\ty", "b\ty"])
+        assert ds.interactions.tolist() == [[0, 0], [1, 1], [1, 0], [0, 1]]
+
+    def test_restrict_and_seen_match_per_edge_loop(self):
+        rng = np.random.default_rng(11)
+        ds = toy([f"p{u}\tl{i}" for u in range(12) for i in rng.choice(9, rng.integers(1, 5), replace=False)])
+        keep = [1, 4, 5, 9]
+        sub = restrict(ds, keep)
+        assert sub.interactions.tolist() == [[keep.index(u), i] for u, i in ds.interactions.tolist() if u in keep]
+        used = {i for u, i in ds.interactions.tolist() if u in keep}
+        assert seen_libraries(ds, keep).tolist() == [i in used for i in range(ds.n_libraries)]
+
+
 class TestPopularity:
     def test_boundary_not_rare(self):
         # 1 of 10 projects -> rate exactly 0.1, strict < keeps it non-rare
@@ -126,12 +181,12 @@ def ten_projects():
 class TestUserSplit:
     def test_each_fold_tests_one_project(self):
         ds = ten_projects()
-        folds = split_users(ds, SplitSpec(fold_count=10, seed=1))
+        folds = split_users(ds, 10, seed=1)
         assert all(len(f.test_projects) == 1 for f in folds)
 
     def test_folds_partition_projects(self):
         ds = ten_projects()
-        folds = split_users(ds, SplitSpec(fold_count=3, seed=1))
+        folds = split_users(ds, 3, seed=1)
         all_test = np.concatenate([f.test_projects for f in folds])
         assert sorted(all_test.tolist()) == list(range(10))
         for f in folds:
@@ -139,14 +194,18 @@ class TestUserSplit:
 
     def test_determinism(self):
         ds = ten_projects()
-        a = split_users(ds, SplitSpec(fold_count=4, seed=7))
-        b = split_users(ds, SplitSpec(fold_count=4, seed=7))
+        a = split_users(ds, 4, seed=7)
+        b = split_users(ds, 4, seed=7)
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.test_projects, fb.test_projects)
 
     def test_too_many_folds(self):
         with pytest.raises(DataError):
-            split_users(ten_projects(), SplitSpec(fold_count=11, seed=0))
+            split_users(ten_projects(), 11, seed=0)
+
+    def test_too_few_folds(self):
+        with pytest.raises(DataError):
+            split_users(ten_projects(), 1, seed=0)
 
 
 class TestQueryTestSplit:
@@ -193,7 +252,7 @@ class TestInteractionSplit:
         ds = toy(lines)
         train, test = split_interactions(ds, 0.6, seed=2)
         rebuilt = {(u, i) for u in range(ds.n_projects) for i in train[u] + test[u]}
-        assert rebuilt == set(ds.interactions)
+        assert rebuilt == set(map(tuple, ds.interactions.tolist()))
         for u in range(ds.n_projects):
             assert not set(train[u]) & set(test[u])
             assert len(train[u]) >= 1
@@ -209,4 +268,4 @@ class TestRestrict:
 
     def test_seen_libraries(self):
         ds = toy(["p1\tl1", "p2\tl2"])
-        assert seen_libraries(ds, [0]) == {0}
+        assert seen_libraries(ds, [0]).tolist() == [True, False]

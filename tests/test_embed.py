@@ -4,15 +4,24 @@ import numpy as np
 import pytest
 
 from tplrec.data import ingest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tplrec.embed import (
+    _SCORE_BLOCK,
     EmbedConfig,
     EmbeddingTable,
+    _holdout_validation,
+    _recall_at_10,
+    _sample_negatives,
     build_adjacency,
     debiased_contrastive_loss,
     propagate,
     train_embeddings,
 )
 from tplrec.synth import planted_communities
+
+from oracles import holdout_validation_loop, recall_at_10_dense, sample_negatives_loop
 
 
 def random_bipartite(rng, n, m):
@@ -212,6 +221,59 @@ class TestTraining:
         for mat in (res.table.projects, res.table.libraries):
             norms = np.linalg.norm(mat, axis=1)
             assert np.all(np.abs(norms - 1.0) <= 1e-6)
+
+
+def codes(edges, m):
+    return np.sort(edges[:, 0] * m + edges[:, 1])
+
+
+def item_sets(edges, n):
+    sets = [set() for _ in range(n)]
+    for u, i in edges.tolist():
+        sets[u].add(i)
+    return sets
+
+
+class TestArrayKernels:
+    """The array kernels draw and return exactly what the per-edge loops in
+    `oracles.py` do."""
+
+    @given(seed=st.integers(0, 10_000), fraction=st.sampled_from([0.05, 0.1, 0.3, 0.6, 0.9]))
+    @settings(max_examples=60, deadline=None)
+    def test_holdout_matches_loop(self, seed, fraction):
+        rng = np.random.default_rng(seed)
+        ds = random_bipartite(rng, int(rng.integers(1, 15)), int(rng.integers(1, 12)))
+        got_train, got_val = _holdout_validation(np.random.default_rng(seed), ds, fraction)
+        want_train, want_val = holdout_validation_loop(np.random.default_rng(seed), ds.interactions,
+                                                       ds.n_projects, fraction)
+        assert np.array_equal(got_train, want_train)
+        assert list(got_val.items()) == list(want_val.items())
+
+    @given(seed=st.integers(0, 10_000), k=st.sampled_from([1, 4, 16]))
+    @settings(max_examples=60, deadline=None)
+    def test_negatives_match_loop(self, seed, k):
+        rng = np.random.default_rng(seed)
+        # dense usage, so rows redraw often; a project using the whole catalog
+        # exhausts the 64 redraws
+        ds = random_bipartite(rng, int(rng.integers(1, 10)), int(rng.integers(1, 12)))
+        users = rng.integers(0, ds.n_projects, size=int(rng.integers(1, 40)))
+        m = ds.n_libraries
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _sample_negatives(got_rng, users, codes(ds.interactions, m), m, k)
+        want = sample_negatives_loop(want_rng, users, item_sets(ds.interactions, ds.n_projects), m, k)
+        assert np.array_equal(got, want)
+        assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
+
+    def test_recall_matches_dense_beyond_one_block(self):
+        rng = np.random.default_rng(12)
+        n, m = _SCORE_BLOCK + 300, 40
+        table = EmbeddingTable(rng.normal(size=(n, 8)), rng.normal(size=(m, 8))).normalized()
+        ds = ingest([f"p{u}\tl{i}" for u in range(n) for i in rng.choice(m, 6, replace=False)])
+        edges, val = _holdout_validation(rng, ds, 0.3)
+        val = dict(reversed(list(val.items())))  # scores blocks out of order
+        want = recall_at_10_dense(table, item_sets(edges, n), val)
+        assert _recall_at_10(table, codes(edges, m), val) == want
+        assert _recall_at_10(table, codes(edges, m), {}) == 0.0
 
 
 class TestPersistence:

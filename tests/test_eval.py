@@ -185,6 +185,12 @@ class TestProtocols:
             ProtocolConfig(mode="greedy")
         with pytest.raises(DataError):
             ProtocolConfig(k=0)
+        with pytest.raises(DataError):
+            ProtocolConfig(folds=1)
+        with pytest.raises(ValueError):
+            EmbedConfig(val_fraction=0)
+        with pytest.raises(ValueError):
+            EmbedConfig(init_scale=0)
 
     def test_coldstart_runs_and_reports(self):
         ds = planted_communities(**SMALL)

@@ -11,7 +11,7 @@ class TestPlantedCommunities:
         b = planted_communities(n_projects=50, n_libraries=40, n_communities=4,
                                 interactions_per_project=8, noise=0.1, seed=0)
         assert a.n_projects == 50
-        assert a.interactions == b.interactions
+        assert np.array_equal(a.interactions, b.interactions)
 
     def test_noise_free_stays_in_community(self):
         ds = planted_communities(n_projects=40, n_libraries=40, n_communities=4,
@@ -49,4 +49,4 @@ class TestHeadTail:
     def test_determinism(self):
         a = head_tail(n_projects=100, seed=5)
         b = head_tail(n_projects=100, seed=5)
-        assert a.interactions == b.interactions
+        assert np.array_equal(a.interactions, b.interactions)
