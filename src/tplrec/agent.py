@@ -4,9 +4,11 @@ Q-learning objective, and the popularity-aware partitioned replay buffer.
 from __future__ import annotations
 
 import csv
+import numbers
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.special import logsumexp, softmax
@@ -23,6 +25,8 @@ _QNET_PARAMS = ("w1", "b1", "wv", "bv", "wa", "ba")
 
 PARTITIONS = ("rare", "rand", "seq")
 MODES = ("sequential", "one-shot")
+# Queries per batched forward in `recommend`: bounds its B x M score and mask arrays.
+_BLOCK = 128
 
 
 @dataclass(eq=False)
@@ -173,7 +177,8 @@ def gen_transition(items, rep: RepresentativeTable, lib_table: np.ndarray, rng) 
     k = int(rng.integers(1, n))
     subset_idx = rng.choice(n, size=k, replace=False)
     known = [items[j] for j in subset_idx]
-    rest = [i for i in items if i not in set(known)]
+    known_set = set(known)
+    rest = [i for i in items if i not in known_set]
     action = int(rest[int(rng.integers(len(rest)))])
     state = aggregate(known, rep)
     next_state = aggregate(known + [action], rep)
@@ -419,49 +424,81 @@ def train_agent(train: InteractionDataset, table: EmbeddingTable, rep: Represent
     return net, stats
 
 
-def _select_action(q: np.ndarray, allowed: np.ndarray) -> int:
-    """Argmax over allowed actions; ties break toward the lower index."""
-    masked = np.where(allowed, q, -np.inf)
-    return int(np.argmax(masked))  # first occurrence = lowest index
-
-
 def recommend(query, k: int, net: QNetwork, rep: RepresentativeTable,
               mode: str = "sequential", with_scores: bool = False):
-    """Top-k library recommendations for a query set of known libraries.
+    """Top-k library recommendations for a query set of known libraries,
+    or, given a list of such queries, one answer per query.
 
-    Sequential mode re-aggregates the known set after every pick; one-shot
-    mode ranks all masked actions once. Query items and libraries without
+    A query is a set: a repeated library counts once. Sequential mode
+    re-aggregates the known set after every pick; one-shot mode ranks all
+    masked actions once. Query items and libraries without
     representatives are never recommended. With ``with_scores`` the
-    result pairs each action with the Q-value it was picked at.
+    result pairs each action with the Q-value it was picked at. A list of
+    queries is answered in lockstep, one batched forward per step for
+    each block of queries; the single query is the block of one.
     """
-    query = [int(i) for i in query]
-    if not query:
+    items = list(query)
+    single = not items or isinstance(items[0], numbers.Integral)
+    queries = [list(dict.fromkeys(int(i) for i in q)) for q in ([items] if single else items)]
+    if not queries or not all(queries):
         raise DataError("query set must be nonempty")
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    allowed = rep.has_rep.copy()
-    allowed[query] = False
-    available = int(allowed.sum())
-    if k > available:
-        warnings.warn(f"only {available} recommendable libraries for k={k}; truncating")
-        k = available
-
-    if mode == "one-shot":
-        q = net.forward(aggregate(query, rep))[0]
-        idx = np.flatnonzero(allowed)
-        order = idx[np.lexsort((idx, -q[idx]))]
-        picks = [(int(a), float(q[a])) for a in order[:k]]
-    elif mode == "sequential":
-        known = list(query)
-        picks = []
-        for _ in range(k):
-            q = net.forward(aggregate(known, rep))[0]
-            a = _select_action(q, allowed)
-            picks.append((a, float(q[a])))
-            allowed[a] = False
-            known.append(a)
-    else:
+    if mode not in MODES:
         raise DataError(f"unknown recommendation mode: {mode}")
-    if with_scores:
+    answers = []
+    for start in range(0, len(queries), _BLOCK):
+        answers.extend(_answer_block(queries[start:start + _BLOCK], k, net, rep, mode))
+    if not with_scores:
+        answers = [[a for a, _ in picks] for picks in answers]
+    return answers[0] if single else answers
+
+
+def _answer_block(queries: list[list[int]], k: int, net: QNetwork, rep: RepresentativeTable,
+                  mode: str) -> list[list[tuple[int, float]]]:
+    """(action, Q-value) picks for each of a block of distinct-item queries."""
+    b = len(queries)
+    count = np.array([len(q) for q in queries])
+    rows = np.repeat(np.arange(b), count)
+    cols = np.fromiter(chain.from_iterable(queries), dtype=np.int64, count=len(rows))
+    missing = ~rep.has_rep[cols]
+    if missing.any():
+        query = queries[rows[np.argmax(missing)]]
+        raise DataError(f"libraries without representatives: {[i for i in query if not rep.has_rep[i]][:5]}")
+    allowed = np.repeat(rep.has_rep[None, :], b, axis=0)
+    allowed[rows, cols] = False
+    available = allowed.sum(axis=1)
+    for n in available[available < k].tolist():
+        warnings.warn(f"only {n} recommendable libraries for k={k}; truncating")
+    take = np.minimum(available, k)
+    # The state is total / count: `aggregate` divides this same row sum, and
+    # NumPy sums axis 0 row by row (for d >= 2; one column is summed
+    # pairwise), so adding each pick's row keeps every state bitwise equal
+    # to aggregate(known).
+    total = np.stack([rep.vectors[q].sum(axis=0) for q in queries])
+
+    picks: list[list[tuple[int, float]]] = [[] for _ in range(b)]
+    if mode == "one-shot":
+        q = net.forward(total / count[:, None])
+        for r in range(b):
+            idx = np.flatnonzero(allowed[r])
+            order = idx[np.lexsort((idx, -q[r, idx]))][:take[r]]
+            picks[r] = list(zip(order.tolist(), q[r, order].tolist()))
         return picks
-    return [a for a, _ in picks]
+    live = np.arange(b)  # block rows still picking; the arrays below hold only theirs
+    step = 0
+    while True:
+        keep = take[live] > step
+        if not keep.all():
+            live, total, count, allowed = live[keep], total[keep], count[keep], allowed[keep]
+        if not live.size:
+            return picks
+        q = net.forward(total / count[:, None])
+        actions = np.where(allowed, q, -np.inf).argmax(axis=1)  # first maximum: lowest index
+        at = np.arange(len(live))
+        for r, a, v in zip(live.tolist(), actions.tolist(), q[at, actions].tolist()):
+            picks[r].append((a, v))
+        allowed[at, actions] = False
+        total += rep.vectors[actions]
+        count += 1
+        step += 1

@@ -185,6 +185,9 @@ def cmd_train(args) -> int:
 def cmd_recommend(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
+    query_ids = [q for q in args.query.split(",") if q]
+    if not query_ids:
+        raise UsageError("--query must name at least one library")
     model_dir = Path(args.model_dir)
     for name in ("qnet.tplq", "representatives.tplr", "vocab.tsv"):
         if not (model_dir / name).is_file():
@@ -192,7 +195,6 @@ def cmd_recommend(args) -> int:
     _, libraries = _read_vocab(model_dir / "vocab.tsv")
     index = {name: j for j, name in enumerate(libraries)}
 
-    query_ids = [q for q in args.query.split(",") if q]
     unknown = [q for q in query_ids if q not in index]
     if unknown:
         raise DataError(f"unknown library ids: {', '.join(unknown)}")

@@ -175,15 +175,16 @@ def _fold_metrics(rec_lists, truths, pop, m, k, rank_discounted) -> dict[str, fl
 
 def _recommender(train_ds: InteractionDataset, seen: np.ndarray, pop: PopularityTable,
                  cfg: ProtocolConfig, fold: int):
-    """The fold's policy, trained on `train_ds`, as a function from a query to its top-k list.
-    The baselines recommend only libraries in the `seen` mask."""
+    """The fold's policy, trained on `train_ds`, as a function from a list of
+    queries to their top-k lists; the agent answers them in lockstep. The
+    baselines recommend only libraries in the `seen` mask."""
     if cfg.policy == "agent":
         emb = train_embeddings(train_ds, replace(cfg.embed, seed=cfg.embed.seed + fold))
         rep = build_representatives(emb.table, train_ds, cfg.blend)
         net, _ = train_agent(train_ds, emb.table, rep, replace(cfg.agent, seed=cfg.agent.seed + fold))
-        return lambda query: recommend(query, cfg.k, net, rep, mode=cfg.mode)
+        return lambda queries: recommend(queries, cfg.k, net, rep, mode=cfg.mode)
     rng = np.random.default_rng(cfg.seed * 104729 + fold)
-    return lambda query: _baseline_recommend(cfg.policy, query, seen, cfg.k, pop, rng)
+    return lambda queries: [_baseline_recommend(cfg.policy, q, seen, cfg.k, pop, rng) for q in queries]
 
 
 def _coldstart_folds(ds: InteractionDataset, cfg: ProtocolConfig):
@@ -245,7 +246,7 @@ def run_protocol(ds: InteractionDataset, cfg: ProtocolConfig) -> MetricsReport:
             report.skipped.append(skipped)
             report.incomplete.append(f)
             continue
-        rec_lists = [policy(query) for query, _ in evaluated]
+        rec_lists = policy([query for query, _ in evaluated])
         truths = [truth for _, truth in evaluated]
         report.fold_metrics.append(
             _fold_metrics(rec_lists, truths, pop, ds.n_libraries, cfg.k, cfg.rank_discounted_epc)

@@ -1,5 +1,10 @@
 """Reference implementations that tests compare the library against."""
+import warnings
+
 import numpy as np
+
+from tplrec.coldstart import aggregate
+from tplrec.errors import DataError
 
 
 def reward_expanded(action, known, table, train, blend):
@@ -97,3 +102,39 @@ def recall_at_10_dense(table, user_items, val):
         top = np.argpartition(-row, k - 1)[:k]
         total += len(set(int(t) for t in top) & set(items)) / len(items)
     return total / len(val)
+
+
+def recommend_loop(query, k, net, rep, mode="sequential", with_scores=False):
+    """One query at a time: a single-row forward of aggregate(known) per
+    step, the argmax over allowed actions (first maximum) as the pick."""
+    query = [int(i) for i in query]
+    if not query:
+        raise DataError("query set must be nonempty")
+    if k < 1:
+        raise DataError(f"k must be >= 1, got {k}")
+    allowed = rep.has_rep.copy()
+    allowed[query] = False
+    available = int(allowed.sum())
+    if k > available:
+        warnings.warn(f"only {available} recommendable libraries for k={k}; truncating")
+        k = available
+
+    if mode == "one-shot":
+        q = net.forward(aggregate(query, rep))[0]
+        idx = np.flatnonzero(allowed)
+        order = idx[np.lexsort((idx, -q[idx]))]
+        picks = [(int(a), float(q[a])) for a in order[:k]]
+    elif mode == "sequential":
+        known = list(query)
+        picks = []
+        for _ in range(k):
+            q = net.forward(aggregate(known, rep))[0]
+            a = int(np.argmax(np.where(allowed, q, -np.inf)))
+            picks.append((a, float(q[a])))
+            allowed[a] = False
+            known.append(a)
+    else:
+        raise DataError(f"unknown recommendation mode: {mode}")
+    if with_scores:
+        return picks
+    return [a for a, _ in picks]

@@ -1,9 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as spstats
 
+from tplrec import agent
 from tplrec.agent import (
     AgentConfig,
     QNetwork,
@@ -24,7 +28,7 @@ from tplrec.data import ingest, popularity
 from tplrec.embed import EmbeddingTable
 from tplrec.errors import DataError
 
-from oracles import reward_expanded
+from oracles import recommend_loop, reward_expanded
 
 
 def unit_rows(rng, n, d):
@@ -427,6 +431,97 @@ class TestRecommend:
         avail = np.flatnonzero(self.rep.has_rep).tolist()
         with pytest.raises(DataError):
             recommend(avail[:1], 2, self.net, self.rep, mode="greedy")
+
+
+class RecordingNet:
+    """A Q-network that keeps a copy of every batch of states it scores."""
+
+    def __init__(self, net):
+        self.net = net
+        self.states = []
+
+    def forward(self, states):
+        self.states.append(np.array(states))
+        return self.net.forward(states)
+
+
+def with_warning_count(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = call()
+    return out, len(caught)
+
+
+class TestLockstepRecommend:
+    """A list of queries is answered in lockstep blocks; each answer must be
+    the per-query loop's (tests/oracles.py)."""
+
+    @given(seed=st.integers(0, 10_000), zero=st.booleans(), mode=st.sampled_from(agent.MODES))
+    @settings(max_examples=20, deadline=None)
+    def test_batch_matches_per_query_loop(self, seed, zero, mode):
+        rng = np.random.default_rng(seed)
+        m, d, k = int(rng.integers(4, 12)), int(rng.integers(2, 6)), int(rng.integers(1, 7))
+        has_rep = rng.random(m) < 0.8
+        has_rep[:2] = True
+        vectors = np.where(has_rep[:, None], rng.normal(size=(m, d)), 0.0)
+        rep = RepresentativeTable(vectors=vectors, blend=0.5, has_rep=has_rep)
+        net = QNetwork(d, m, hidden=int(rng.integers(1, 9)), rng=rng)
+        if zero:  # every Q-value ties
+            for p in net.params.values():
+                p[...] = 0.0
+        avail = np.flatnonzero(has_rep)
+        # some queries hold (nearly) every represented library, so their answers truncate
+        queries = [avail.tolist(), avail[::-1][1:].tolist()] + [
+            rng.choice(avail, size=int(rng.integers(1, len(avail) + 1)), replace=False).tolist()
+            for _ in range(agent._BLOCK + int(rng.integers(1, 40)))]
+
+        expected, expected_warnings = with_warning_count(
+            lambda: [recommend_loop(q, k, net, rep, mode=mode, with_scores=True) for q in queries])
+        recorder = RecordingNet(net)
+        got, got_warnings = with_warning_count(
+            lambda: recommend(queries, k, recorder, rep, mode=mode, with_scores=True))
+        assert got_warnings == expected_warnings == sum(len(e) < k for e in expected)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert [a for a, _ in g] == [a for a, _ in e]
+            assert all(abs(gv - ev) <= 1e-12 for (_, gv), (_, ev) in zip(g, e))
+
+        # one forward per step per block, each row's state bitwise aggregate(known)
+        calls = iter(recorder.states)
+        for start in range(0, len(queries), agent._BLOCK):
+            block = range(start, min(start + agent._BLOCK, len(queries)))
+            steps = 1 if mode == "one-shot" else max(len(got[r]) for r in block)
+            for step in range(steps):
+                rows = block if mode == "one-shot" else [r for r in block if len(got[r]) > step]
+                known = [queries[r] + [a for a, _ in got[r][:step]] for r in rows]
+                assert np.array_equal(next(calls), np.stack([aggregate(kn, rep) for kn in known]))
+        assert next(calls, None) is None
+
+        # the single query is the block of one: bit for bit
+        singles, _ = with_warning_count(
+            lambda: [recommend(q, k, net, rep, mode=mode, with_scores=True) for q in queries])
+        assert singles == expected
+
+    def test_repeated_library_counts_once(self):
+        rng = np.random.default_rng(5)
+        rep = RepresentativeTable(vectors=rng.normal(size=(9, 3)), blend=0.5, has_rep=np.ones(9, dtype=bool))
+        net = QNetwork(3, 9, hidden=8, rng=6)
+        for mode in agent.MODES:
+            once = recommend([4, 1], 3, net, rep, mode=mode, with_scores=True)
+            assert recommend([4, 1, 4, 4], 3, net, rep, mode=mode, with_scores=True) == once
+            assert recommend([[4, 4, 1], [1]], 3, net, rep, mode=mode)[0] == [a for a, _ in once]
+
+    @pytest.mark.parametrize("queries", [[], [[]], [[1], []], [(2, 3), ()]])
+    def test_empty_batch_or_query_rejected(self, queries):
+        rep = RepresentativeTable(vectors=np.eye(4), blend=0.5, has_rep=np.ones(4, dtype=bool))
+        with pytest.raises(DataError):
+            recommend(queries, 2, QNetwork(4, 4, hidden=4, rng=0), rep)
+
+    def test_batch_rejects_unrepresented_query_library(self):
+        has_rep = np.array([True, True, False, True])
+        rep = RepresentativeTable(vectors=np.eye(4) * has_rep[:, None], blend=0.5, has_rep=has_rep)
+        with pytest.raises(DataError, match=r"without representatives: \[2\]"):
+            recommend([[0], [1, 2]], 2, QNetwork(4, 4, hidden=4, rng=0), rep)
 
 
 class TestTrainAgent:

@@ -197,6 +197,24 @@ class TestTrainRecommend:
         code = main(["recommend", "--model-dir", str(tmp_path / "void"), "--query", "x", "--k", "0"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("query", ["", ","])
+    def test_recommend_empty_query_is_usage(self, tmp_path, capsys, query):
+        # the model directory does not exist: the query is refused before any artifact is read
+        code = main(["recommend", "--model-dir", str(tmp_path / "void"), "--query", query])
+        assert code == EXIT_USAGE
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_recommend_repeated_library_counts_once(self, dataset_file, tmp_path, capsys):
+        path, _ = dataset_file
+        out = tmp_path / "model"
+        assert self.run_train(path, out) == EXIT_OK
+        outputs = []
+        for query in ("l00", "l00,l00"):
+            capsys.readouterr()
+            assert main(["recommend", "--model-dir", str(out), "--query", query, "--k", "3"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 class TestEvaluate:
     def test_reports_written(self, dataset_file, tmp_path, capsys):
