@@ -75,7 +75,7 @@ class QNetwork:
     """
 
     def __init__(self, state_dim: int, n_actions: int, hidden: int = 256, rng=None):
-        rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        rng = np.random.default_rng(rng)
         self.state_dim = state_dim
         self.n_actions = n_actions
         self.hidden = hidden
@@ -112,7 +112,7 @@ class QNetwork:
         """Gradients of a scalar loss given d loss / d Q."""
         states, z, h = cache
         dv = dq.sum(axis=1)
-        da = dq - dq.mean(axis=1, keepdims=True) * np.ones_like(dq)
+        da = dq - dq.mean(axis=1, keepdims=True)
         grads = {
             "wv": h.T @ dv,
             "bv": np.array([dv.sum()]),
@@ -254,7 +254,7 @@ class ReplayBuffer:
         self.capacity = capacity
         self.mu = tuple(mu)
         self.pop = pop
-        self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        self.rng = np.random.default_rng(rng)
         self._cap = {
             "rare": max(1, int(mu[0] * capacity)) if mu[0] > 0 else 0,
             "rand": max(1, int(mu[1] * capacity)) if mu[1] > 0 else 0,

@@ -15,12 +15,6 @@ RARE_THRESHOLD = 0.1
 POPULAR_THRESHOLD = 0.9
 
 
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
@@ -194,8 +188,7 @@ def split_query_test(items: Sequence[int], fraction: float, seed_or_rng=0) -> tu
     if n < 2:
         raise DataError("project needs >= 2 interactions to form query and test sets")
     q = min(n - 1, max(1, _round_half_up(fraction * n)))
-    rng = _as_rng(seed_or_rng)
-    perm = rng.permutation(n)
+    perm = np.random.default_rng(seed_or_rng).permutation(n)
     return tuple(np.sort(items[perm[:q]]).tolist()), tuple(np.sort(items[perm[q:]]).tolist())
 
 

@@ -118,53 +118,48 @@ def propagate(adj: sp.spmatrix, emb: np.ndarray, layers: int) -> np.ndarray:
     return acc / (layers + 1)
 
 
-def debiased_contrastive_loss(user_vecs, pos_vecs, neg_vecs, pos_weight, tau):
-    """Popularity-attenuated sampled-softmax loss with analytic gradients.
+def debiased_contrastive_loss(emb, users, pos, negs, pos_weight, tau):
+    """Popularity-attenuated sampled-softmax loss over rows of the table
+    ``emb``, and its gradient with respect to every row.
 
-    For each sample the positive logit is cos(u, i+) * w / tau with
-    w = 1 - beta * rate(i+) supplied as ``pos_weight``; negative logits
-    are cos(u, i-) / tau. Returns the batch-mean loss and gradients of
-    it w.r.t. the three input arrays.
+    Sample b pairs row ``users[b]`` with the positive row ``pos[b]`` and
+    the negative rows ``negs[b]``. Its positive logit is
+    cos(u, i+) * w / tau with w = 1 - beta * rate(i+) supplied as
+    ``pos_weight``; negative logits are cos(u, i-) / tau. Returns the
+    batch-mean loss and an array shaped like ``emb``; rows no sample
+    touches get zero gradient.
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    u = np.asarray(user_vecs, dtype=np.float64)
-    p = np.asarray(pos_vecs, dtype=np.float64)
-    ng = np.asarray(neg_vecs, dtype=np.float64)
+    emb = np.asarray(emb, dtype=np.float64)
     w = np.asarray(pos_weight, dtype=np.float64)
-    b = u.shape[0]
+    b, k = negs.shape
 
-    nu = np.linalg.norm(u, axis=1)
-    npos = np.linalg.norm(p, axis=1)
-    nneg = np.linalg.norm(ng, axis=2)
-
-    cos_p = np.einsum("bd,bd->b", u, p) / (nu * npos)
-    cos_n = np.einsum("bd,bnd->bn", u, ng) / (nu[:, None] * nneg)
+    norms = np.linalg.norm(emb, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0  # an all-zero row that no sample touches keeps a zero gradient
+    unit = emb / norms
+    cos_p = np.einsum("bd,bd->b", unit[users], unit[pos])
+    cos_n = np.einsum("bd,bkd->bk", unit[users], unit[negs])
 
     logits = np.concatenate([(w * cos_p / tau)[:, None], cos_n / tau], axis=1)
     mx = logits.max(axis=1, keepdims=True)
     lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
     loss = float(np.mean(lse - logits[:, 0]))
 
+    # d loss / d cos for every (user, other) pair: the positive, then the negatives
     soft = np.exp(logits - lse[:, None])
-    dl_pos = (soft[:, 0] - 1.0) / b        # d loss / d positive logit
-    dl_neg = soft[:, 1:] / b               # d loss / d negative logits
+    dcos = soft / (b * tau)
+    dcos[:, 0] = (soft[:, 0] - 1.0) * w / (b * tau)
 
-    dcos_p = dl_pos * w / tau
-    dcos_n = dl_neg / tau
-
-    # cosine gradients: d cos(a, b)/da = b/(|a||b|) - cos * a/|a|^2
-    gu = dcos_p[:, None] * (p / (nu * npos)[:, None] - cos_p[:, None] * u / (nu ** 2)[:, None])
-    gu += np.einsum("bn,bnd->bd", dcos_n, ng / (nu[:, None] * nneg)[:, :, None])
-    gu -= (dcos_n * cos_n).sum(axis=1)[:, None] * u / (nu ** 2)[:, None]
-
-    gp = dcos_p[:, None] * (u / (nu * npos)[:, None] - cos_p[:, None] * p / (npos ** 2)[:, None])
-
-    gn = dcos_n[:, :, None] * (
-        u[:, None, :] / (nu[:, None] * nneg)[:, :, None]
-        - cos_n[:, :, None] * ng / (nneg ** 2)[:, :, None]
-    )
-    return loss, gu, gp, gn
+    # d cos(x, y) / d unit(x) = unit(y), so the gradient with respect to the unit
+    # rows is S @ unit for the symmetric matrix S of pair weights (duplicates summed)
+    mine = np.repeat(users, k + 1)
+    other = np.concatenate([pos[:, None], negs], axis=1).ravel()
+    s = sp.csr_matrix((np.tile(dcos.ravel(), 2), (np.r_[mine, other], np.r_[other, mine])),
+                      shape=(len(emb), len(emb)))
+    g = s @ unit
+    # back through unit(x) = x / |x|: drop the radial part, divide by the norm
+    return loss, (g - np.einsum("nd,nd->n", g, unit)[:, None] * unit) / norms
 
 
 def _contains(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -293,18 +288,11 @@ def train_embeddings(train: InteractionDataset, cfg: EmbedConfig, validation: di
 
             emb = propagate(adj, e0, cfg.layers)
             w = 1.0 - cfg.beta * rates[pos]
-            loss, gu, gp, gn = debiased_contrastive_loss(
-                emb[users], emb[n + pos], emb[(n + negs).ravel()].reshape(len(users), cfg.negatives, cfg.dim),
-                w, cfg.temperature,
-            )
+            loss, grad = debiased_contrastive_loss(emb, users, n + pos, n + negs, w, cfg.temperature)
             if not np.isfinite(loss):
                 raise NumericError(f"embedding loss diverged at epoch {epoch} (loss={loss})")
             losses.append(loss)
 
-            grad = np.zeros_like(emb)
-            np.add.at(grad, users, gu)
-            np.add.at(grad, n + pos, gp)
-            np.add.at(grad, (n + negs).ravel(), gn.reshape(-1, cfg.dim))
             # propagation is linear and symmetric, so its transpose is itself
             grad0 = propagate(adj, grad, cfg.layers) + cfg.l2 * e0
             opt.step({"emb": e0}, {"emb": grad0})

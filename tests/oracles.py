@@ -48,6 +48,57 @@ def representative_loop(i, table, train, blend):
     return blend * user_term + (1.0 - blend) * e_i
 
 
+def contrastive_loss_inputs(user_vecs, pos_vecs, neg_vecs, pos_weight, tau):
+    """The debiased contrastive loss per input vector: the batch-mean loss
+    and its gradients with respect to the (B, d) users, the (B, d)
+    positives and the (B, N, d) negatives, from the cosine derivative
+    d cos(a, b)/da = b/(|a||b|) - cos * a/|a|^2 of each pair."""
+    u = np.asarray(user_vecs, dtype=np.float64)
+    p = np.asarray(pos_vecs, dtype=np.float64)
+    ng = np.asarray(neg_vecs, dtype=np.float64)
+    w = np.asarray(pos_weight, dtype=np.float64)
+    b = u.shape[0]
+
+    nu = np.linalg.norm(u, axis=1)
+    npos = np.linalg.norm(p, axis=1)
+    nneg = np.linalg.norm(ng, axis=2)
+
+    cos_p = np.einsum("bd,bd->b", u, p) / (nu * npos)
+    cos_n = np.einsum("bd,bnd->bn", u, ng) / (nu[:, None] * nneg)
+
+    logits = np.concatenate([(w * cos_p / tau)[:, None], cos_n / tau], axis=1)
+    mx = logits.max(axis=1, keepdims=True)
+    lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
+    loss = float(np.mean(lse - logits[:, 0]))
+
+    soft = np.exp(logits - lse[:, None])
+    dcos_p = (soft[:, 0] - 1.0) / b * w / tau
+    dcos_n = soft[:, 1:] / b / tau
+
+    gu = dcos_p[:, None] * (p / (nu * npos)[:, None] - cos_p[:, None] * u / (nu ** 2)[:, None])
+    gu += np.einsum("bn,bnd->bd", dcos_n, ng / (nu[:, None] * nneg)[:, :, None])
+    gu -= (dcos_n * cos_n).sum(axis=1)[:, None] * u / (nu ** 2)[:, None]
+
+    gp = dcos_p[:, None] * (u / (nu * npos)[:, None] - cos_p[:, None] * p / (npos ** 2)[:, None])
+
+    gn = dcos_n[:, :, None] * (
+        u[:, None, :] / (nu[:, None] * nneg)[:, :, None]
+        - cos_n[:, :, None] * ng / (nneg ** 2)[:, :, None]
+    )
+    return loss, gu, gp, gn
+
+
+def contrastive_loss_scattered(emb, users, pos, negs, pos_weight, tau):
+    """`contrastive_loss_inputs` on the rows of the table, its three
+    gradients summed into the table's rows with `np.add.at`."""
+    loss, gu, gp, gn = contrastive_loss_inputs(emb[users], emb[pos], emb[negs], pos_weight, tau)
+    grad = np.zeros_like(emb, dtype=np.float64)
+    np.add.at(grad, users, gu)
+    np.add.at(grad, pos, gp)
+    np.add.at(grad, negs.ravel(), gn.reshape(-1, emb.shape[1]))
+    return loss, grad
+
+
 def sample_negatives_loop(rng, users, user_items, m, k):
     """Negative sampling with a per-row, per-element set lookup: each row
     redraws its hits until none is one of its project's items, at most 64

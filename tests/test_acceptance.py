@@ -106,22 +106,23 @@ def test_gradient_checks(capsys):
     checked_contrastive = 0
     checked_cql = 0
 
-    u = rng.normal(size=(5, 6))
-    p = rng.normal(size=(5, 6))
-    ng = rng.normal(size=(5, 8, 6))
+    # a table of 5 projects and 15 libraries (120 entries, every one checked)
+    emb = rng.normal(size=(20, 6))
+    users = rng.integers(0, 5, size=5)
+    pos = rng.integers(5, 20, size=5)
+    negs = rng.integers(5, 20, size=(5, 8))
     w = 1.0 - 0.5 * rng.random(5)
-    _, gu, gp, gn = debiased_contrastive_loss(u, p, ng, w, 0.2)
-    for arr, grad in ((u, gu), (p, gp), (ng, gn)):
-        flat, gflat = arr.reshape(-1), grad.reshape(-1)
-        for j in rng.choice(flat.size, size=min(40, flat.size), replace=False):
-            flat[j] += eps
-            lp, *_ = debiased_contrastive_loss(u, p, ng, w, 0.2)
-            flat[j] -= 2 * eps
-            lm, *_ = debiased_contrastive_loss(u, p, ng, w, 0.2)
-            flat[j] += eps
-            fd = (lp - lm) / (2 * eps)
-            worst = max(worst, abs(fd - gflat[j]) / max(1e-6, abs(fd) + abs(gflat[j])))
-            checked_contrastive += 1
+    _, grad = debiased_contrastive_loss(emb, users, pos, negs, w, 0.2)
+    flat, gflat = emb.reshape(-1), grad.reshape(-1)
+    for j in rng.choice(flat.size, size=flat.size, replace=False):
+        flat[j] += eps
+        lp, _ = debiased_contrastive_loss(emb, users, pos, negs, w, 0.2)
+        flat[j] -= 2 * eps
+        lm, _ = debiased_contrastive_loss(emb, users, pos, negs, w, 0.2)
+        flat[j] += eps
+        fd = (lp - lm) / (2 * eps)
+        worst = max(worst, abs(fd - gflat[j]) / max(1e-6, abs(fd) + abs(gflat[j])))
+        checked_contrastive += 1
 
     net = QNetwork(4, 6, hidden=16, rng=2)
     target = QNetwork(4, 6, hidden=16, rng=3)

@@ -21,7 +21,7 @@ from tplrec.embed import (
 )
 from tplrec.synth import planted_communities
 
-from oracles import holdout_validation_loop, recall_at_10_dense, sample_negatives_loop
+from oracles import contrastive_loss_scattered, holdout_validation_loop, recall_at_10_dense, sample_negatives_loop
 
 
 def random_bipartite(rng, n, m):
@@ -113,63 +113,83 @@ class TestPropagate:
         assert np.allclose(propagate(adj, 2.5 * e, 2), 2.5 * propagate(adj, e, 2))
 
 
+def loss_inputs(rng, n_rows, n_users, b, k, d):
+    """A random table and a batch over it: users are rows [0, n_users),
+    positives and negatives the rows after them."""
+    emb = rng.normal(size=(n_rows, d))
+    users = rng.integers(0, n_users, size=b)
+    pos = rng.integers(n_users, n_rows, size=b)
+    negs = rng.integers(n_users, n_rows, size=(b, k))
+    return emb, users, pos, negs, 1.0 - 0.5 * rng.random(b)
+
+
 class TestContrastiveLoss:
     def test_trivial_scalar_case(self):
         d = 4
         e1 = np.zeros(d)
         e1[0] = 1.0
-        u = e1[None, :]
-        pos = e1[None, :]
-        negs = -np.tile(e1, (1, 3, 1))
-        loss, *_ = debiased_contrastive_loss(u, pos, negs, np.ones(1), 1.0)
+        emb = np.stack([e1, e1, -e1])
+        loss, _ = debiased_contrastive_loss(emb, np.array([0]), np.array([1]), np.array([[2, 2, 2]]),
+                                            np.ones(1), 1.0)
         expected = -math.log(math.e / (math.e + 3 * math.exp(-1)))
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_beta_zero_is_plain_infonce(self):
-        rng = np.random.default_rng(4)
-        u = rng.normal(size=(3, 5))
-        p = rng.normal(size=(3, 5))
-        ng = rng.normal(size=(3, 6, 5))
-        plain, *_ = debiased_contrastive_loss(u, p, ng, np.ones(3), 0.2)
+        emb, users, pos, negs, _ = loss_inputs(np.random.default_rng(4), 12, 3, 3, 6, 5)
+        plain, _ = debiased_contrastive_loss(emb, users, pos, negs, np.ones(3), 0.2)
         # weight 1 corresponds to beta = 0 regardless of popularity
-        again, *_ = debiased_contrastive_loss(u, p, ng, 1.0 - 0.0 * np.ones(3), 0.2)
+        again, _ = debiased_contrastive_loss(emb, users, pos, negs, 1.0 - 0.0 * np.ones(3), 0.2)
         assert plain == pytest.approx(again)
 
     def test_nonpositive_temperature_rejected(self):
-        u = np.ones((1, 2))
         with pytest.raises(ValueError):
-            debiased_contrastive_loss(u, u, np.ones((1, 2, 2)), np.ones(1), 0.0)
+            debiased_contrastive_loss(np.ones((2, 2)), np.array([0]), np.array([1]), np.ones((1, 2), dtype=int),
+                                      np.ones(1), 0.0)
 
     def test_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(5)
-        u = rng.normal(size=(4, 5))
-        p = rng.normal(size=(4, 5))
-        ng = rng.normal(size=(4, 6, 5))
-        w = 1.0 - 0.5 * rng.random(4)
+        # 32 rows x 5 = 160 entries, every one checked; users and negatives repeat
+        emb, users, pos, negs, w = loss_inputs(np.random.default_rng(5), 32, 8, 8, 6, 5)
         tau = 0.2
-        loss, gu, gp, gn = debiased_contrastive_loss(u, p, ng, w, tau)
+        _, grad = debiased_contrastive_loss(emb, users, pos, negs, w, tau)
         eps = 1e-5
-        for arr, grad in ((u, gu), (p, gp), (ng, gn)):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                ix = it.multi_index
-                arr[ix] += eps
-                lp, *_ = debiased_contrastive_loss(u, p, ng, w, tau)
-                arr[ix] -= 2 * eps
-                lm, *_ = debiased_contrastive_loss(u, p, ng, w, tau)
-                arr[ix] += eps
-                fd = (lp - lm) / (2 * eps)
-                assert abs(fd - grad[ix]) / max(1e-6, abs(fd) + abs(grad[ix])) < 1e-4
+        it = np.nditer(emb, flags=["multi_index"])
+        for _ in it:
+            ix = it.multi_index
+            emb[ix] += eps
+            lp, _ = debiased_contrastive_loss(emb, users, pos, negs, w, tau)
+            emb[ix] -= 2 * eps
+            lm, _ = debiased_contrastive_loss(emb, users, pos, negs, w, tau)
+            emb[ix] += eps
+            fd = (lp - lm) / (2 * eps)
+            assert abs(fd - grad[ix]) / max(1e-6, abs(fd) + abs(grad[ix])) < 1e-4
+
+    @given(seed=st.integers(0, 10_000), n_users=st.integers(1, 6), n_others=st.integers(1, 12),
+           b=st.integers(1, 40), k=st.integers(1, 8), d=st.integers(2, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_input_oracle(self, seed, n_users, n_others, b, k, d):
+        # few users and others for many samples, so both repeat within the batch;
+        # the three rows after them are untouched, one of them all zero. (At d = 1
+        # every cosine is +-1, so the exact gradient is 0 and the oracle's rounding.)
+        rng = np.random.default_rng(seed)
+        emb, users, pos, negs, w = loss_inputs(rng, n_users + n_others, n_users, b, k, d)
+        emb = np.concatenate([emb, rng.normal(size=(2, d)), np.zeros((1, d))])
+        tau = float(rng.uniform(0.05, 1.0))
+        loss, grad = debiased_contrastive_loss(emb, users, pos, negs, w, tau)
+        want_loss, want = contrastive_loss_scattered(emb, users, pos, negs, w, tau)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert np.all(np.isfinite(grad))
+        assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
+        assert not grad[n_users + n_others:].any()
 
     def test_popularity_attenuation_monotone(self):
         # same geometry, higher popularity -> lower weight -> loss at least as large
         rng = np.random.default_rng(6)
         u = rng.normal(size=(1, 5))
-        p = u + 0.1 * rng.normal(size=(1, 5))  # positively aligned positive
-        ng = rng.normal(size=(1, 8, 5))
+        emb = np.concatenate([u, u + 0.1 * rng.normal(size=(1, 5)), rng.normal(size=(8, 5))])
+        users, pos, negs = np.array([0]), np.array([1]), np.arange(2, 10)[None, :]
         beta = 0.5
-        low, *_ = debiased_contrastive_loss(u, p, ng, np.array([1.0 - beta * 0.05]), 0.2)
-        high, *_ = debiased_contrastive_loss(u, p, ng, np.array([1.0 - beta * 0.95]), 0.2)
+        low, _ = debiased_contrastive_loss(emb, users, pos, negs, np.array([1.0 - beta * 0.05]), 0.2)
+        high, _ = debiased_contrastive_loss(emb, users, pos, negs, np.array([1.0 - beta * 0.95]), 0.2)
         assert high >= low
 
 
