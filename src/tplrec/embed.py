@@ -3,8 +3,10 @@
 Embeddings are trained by layered neighborhood propagation (no
 nonlinearities, no per-layer weights; the final embedding is the mean
 over propagation depths) with a popularity-attenuated contrastive loss.
-Finalized tables are unit-norm row-wise, so the score of a pair is the
-plain dot product.
+A step draws negatives uniformly from each project's non-items and
+takes the loss's gradient over the propagated table's rows back through
+the propagation. Finalized tables are unit-norm row-wise, so the score
+of a pair is the plain dot product.
 """
 from __future__ import annotations
 
@@ -120,19 +122,16 @@ def propagate(adj: sp.spmatrix, emb: np.ndarray, layers: int) -> np.ndarray:
 
 def debiased_contrastive_loss(emb, users, pos, negs, pos_weight, tau):
     """Popularity-attenuated sampled-softmax loss over rows of the table
-    ``emb``, and its gradient with respect to every row.
+    ``emb``, and its gradient with respect to every row (zero for rows no
+    sample touches).
 
     Sample b pairs row ``users[b]`` with the positive row ``pos[b]`` and
-    the negative rows ``negs[b]``. Its positive logit is
-    cos(u, i+) * w / tau with w = 1 - beta * rate(i+) supplied as
-    ``pos_weight``; negative logits are cos(u, i-) / tau. Returns the
-    batch-mean loss and an array shaped like ``emb``; rows no sample
-    touches get zero gradient.
+    the negative rows ``negs[b]``: its positive logit is cos(u, i+) * w /
+    tau with w = 1 - beta * rate(i+) given as ``pos_weight``, its negative
+    logits cos(u, i-) / tau. Returns the batch-mean loss and the gradient.
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    emb = np.asarray(emb, dtype=np.float64)
-    w = np.asarray(pos_weight, dtype=np.float64)
     b, k = negs.shape
 
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
@@ -141,7 +140,7 @@ def debiased_contrastive_loss(emb, users, pos, negs, pos_weight, tau):
     cos_p = np.einsum("bd,bd->b", unit[users], unit[pos])
     cos_n = np.einsum("bd,bkd->bk", unit[users], unit[negs])
 
-    logits = np.concatenate([(w * cos_p / tau)[:, None], cos_n / tau], axis=1)
+    logits = np.concatenate([(pos_weight * cos_p / tau)[:, None], cos_n / tau], axis=1)
     mx = logits.max(axis=1, keepdims=True)
     lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
     loss = float(np.mean(lse - logits[:, 0]))
@@ -149,7 +148,7 @@ def debiased_contrastive_loss(emb, users, pos, negs, pos_weight, tau):
     # d loss / d cos for every (user, other) pair: the positive, then the negatives
     soft = np.exp(logits - lse[:, None])
     dcos = soft / (b * tau)
-    dcos[:, 0] = (soft[:, 0] - 1.0) * w / (b * tau)
+    dcos[:, 0] = (soft[:, 0] - 1.0) * pos_weight / (b * tau)
 
     # d cos(x, y) / d unit(x) = unit(y), so the gradient with respect to the unit
     # rows is S @ unit for the symmetric matrix S of pair weights (duplicates summed)
@@ -162,29 +161,22 @@ def debiased_contrastive_loss(emb, users, pos, negs, pos_weight, tau):
     return loss, (g - np.einsum("nd,nd->n", g, unit)[:, None] * unit) / norms
 
 
-def _contains(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Membership of each query in the sorted, nonempty key array."""
-    pos = np.searchsorted(keys, queries).clip(max=len(keys) - 1)
-    return keys[pos] == queries
+def _negative_sampler(codes: np.ndarray, n: int, m: int):
+    """``sample(rng, users, k)``: k libraries per user, uniform over those
+    the user does not have, from the sorted u * m + i codes of the training
+    pairs. The key u * (m + 1) + i - rank_u(i) of an item counts the
+    non-items of u below it, so the r-th non-item, r uniform in
+    [0, m - deg(u)), is r plus the number of u's keys at most u * (m + 1) + r."""
+    u = codes // m
+    degree = np.bincount(u, minlength=n)
+    first = np.cumsum(degree) - degree
+    keys = codes + u - (np.arange(len(codes)) - first[u])
 
+    def sample(rng, users, k):
+        r = rng.integers(0, m - degree[users][:, None], size=(len(users), k))
+        return r + np.searchsorted(keys, users[:, None] * (m + 1) + r, "right") - first[users][:, None]
 
-def _sample_negatives(rng, users, keys, m, k):
-    """Uniform negatives from the library catalog minus each project's items.
-
-    `keys` are the sorted u * m + i codes of the training pairs. A row
-    that hits a training item redraws the hits, up to 64 times; rows
-    redraw in order.
-    """
-    out = rng.integers(0, m, size=(len(users), k))
-    hit = _contains(keys, users[:, None] * m + out)
-    for r in np.flatnonzero(hit.any(axis=1)):
-        row, bad = out[r], hit[r]
-        for _ in range(64):
-            row[bad] = rng.integers(0, m, size=int(bad.sum()))
-            bad = _contains(keys, users[r] * m + row)
-            if not bad.any():
-                break
-    return out
+    return sample
 
 
 def _holdout_validation(rng, ds: InteractionDataset, fraction: float):
@@ -253,8 +245,11 @@ def train_embeddings(train: InteractionDataset, cfg: EmbedConfig, validation: di
     with rows renormalized to unit norm, plus a per-epoch history of
     (epoch, mean loss, validation recall).
     """
-    rng = np.random.default_rng(cfg.seed)
     n, m = train.n_projects, train.n_libraries
+    full = np.flatnonzero(np.bincount(train.interactions[:, 0], minlength=n) == m)
+    if len(full):
+        raise DataError(f"project {train.projects[full[0]]} uses all {m} libraries, so it has no negatives to sample")
+    rng = np.random.default_rng(cfg.seed)
 
     if validation is None:
         train_edges, validation = _holdout_validation(rng, train, cfg.val_fraction)
@@ -263,9 +258,9 @@ def train_embeddings(train: InteractionDataset, cfg: EmbedConfig, validation: di
         validation = {int(u): list(v) for u, v in validation.items()}
 
     adj = _adjacency_from_edges(n, m, train_edges)
-    counts = np.bincount(train_edges[:, 1], minlength=m)
-    rates = counts / float(n)
+    rates = np.bincount(train_edges[:, 1], minlength=m) / float(n)
     keys = np.sort(train_edges[:, 0] * m + train_edges[:, 1])
+    sample_negatives = _negative_sampler(keys, n, m)
 
     e0 = rng.normal(0.0, cfg.init_scale, size=(n + m, cfg.dim))
     opt = Adam(cfg.learning_rate)
@@ -273,7 +268,6 @@ def train_embeddings(train: InteractionDataset, cfg: EmbedConfig, validation: di
     best_recall = -1.0
     best_table: EmbeddingTable | None = None
     best_epoch = -1
-    stall = 0
     history: list[tuple[int, float, float]] = []
     t_edges = len(train_edges)
 
@@ -281,10 +275,8 @@ def train_embeddings(train: InteractionDataset, cfg: EmbedConfig, validation: di
         order = rng.permutation(t_edges)
         losses = []
         for start in range(0, t_edges, cfg.batch_size):
-            batch = train_edges[order[start:start + cfg.batch_size]]
-            users = batch[:, 0]
-            pos = batch[:, 1]
-            negs = _sample_negatives(rng, users, keys, m, cfg.negatives)
+            users, pos = train_edges[order[start:start + cfg.batch_size]].T
+            negs = sample_negatives(rng, users, cfg.negatives)
 
             emb = propagate(adj, e0, cfg.layers)
             w = 1.0 - cfg.beta * rates[pos]
@@ -303,14 +295,9 @@ def train_embeddings(train: InteractionDataset, cfg: EmbedConfig, validation: di
         history.append((epoch, float(np.mean(losses)), recall))
 
         if recall > best_recall:
-            best_recall = recall
-            best_table = table
-            best_epoch = epoch
-            stall = 0
-        else:
-            stall += 1
-            if stall >= cfg.patience:
-                break
+            best_recall, best_table, best_epoch = recall, table, epoch
+        elif epoch - best_epoch >= cfg.patience:
+            break
 
     assert best_table is not None
     return EmbedResult(table=best_table, history=history, best_epoch=best_epoch, best_recall=best_recall)

@@ -99,22 +99,6 @@ def contrastive_loss_scattered(emb, users, pos, negs, pos_weight, tau):
     return loss, grad
 
 
-def sample_negatives_loop(rng, users, user_items, m, k):
-    """Negative sampling with a per-row, per-element set lookup: each row
-    redraws its hits until none is one of its project's items, at most 64
-    times."""
-    out = rng.integers(0, m, size=(len(users), k))
-    for r, u in enumerate(users):
-        banned = user_items[u]
-        row = out[r]
-        for _ in range(64):
-            bad = np.fromiter((int(x) in banned for x in row), dtype=bool, count=k)
-            if not bad.any():
-                break
-            row[bad] = rng.integers(0, m, size=int(bad.sum()))
-    return out
-
-
 def holdout_validation_loop(rng, edges, n_projects, fraction):
     """The validation holdout taken edge by edge in a random order: an edge
     is taken while fewer than the target are, unless it is its project's

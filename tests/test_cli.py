@@ -114,6 +114,13 @@ class TestExitCodes:
         path, _ = dataset_file
         assert main(["train", "--dataset", str(path), "--bogus", "1"]) == EXIT_USAGE
 
+    def test_project_with_every_library_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "full.tsv"
+        data.write_text("a\tx\na\ty\nb\tx\n")
+        assert main(["train", "--dataset", str(data), "--output", str(tmp_path / "model")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "a uses all 2 libraries" in err
+
     def test_malformed_dataset_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("a\tb\tc\td\n")

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from tplrec.data import ingest
+from tplrec.errors import DataError
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +15,7 @@ from tplrec.embed import (
     EmbeddingTable,
     _holdout_validation,
     _recall_at_10,
-    _sample_negatives,
+    _negative_sampler,
     build_adjacency,
     debiased_contrastive_loss,
     propagate,
@@ -21,7 +23,7 @@ from tplrec.embed import (
 )
 from tplrec.synth import planted_communities
 
-from oracles import contrastive_loss_scattered, holdout_validation_loop, recall_at_10_dense, sample_negatives_loop
+from oracles import contrastive_loss_scattered, holdout_validation_loop, recall_at_10_dense
 
 
 def random_bipartite(rng, n, m):
@@ -269,21 +271,6 @@ class TestArrayKernels:
         assert np.array_equal(got_train, want_train)
         assert list(got_val.items()) == list(want_val.items())
 
-    @given(seed=st.integers(0, 10_000), k=st.sampled_from([1, 4, 16]))
-    @settings(max_examples=60, deadline=None)
-    def test_negatives_match_loop(self, seed, k):
-        rng = np.random.default_rng(seed)
-        # dense usage, so rows redraw often; a project using the whole catalog
-        # exhausts the 64 redraws
-        ds = random_bipartite(rng, int(rng.integers(1, 10)), int(rng.integers(1, 12)))
-        users = rng.integers(0, ds.n_projects, size=int(rng.integers(1, 40)))
-        m = ds.n_libraries
-        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _sample_negatives(got_rng, users, codes(ds.interactions, m), m, k)
-        want = sample_negatives_loop(want_rng, users, item_sets(ds.interactions, ds.n_projects), m, k)
-        assert np.array_equal(got, want)
-        assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
-
     def test_recall_matches_dense_beyond_one_block(self):
         rng = np.random.default_rng(12)
         n, m = _SCORE_BLOCK + 300, 40
@@ -294,6 +281,49 @@ class TestArrayKernels:
         want = recall_at_10_dense(table, item_sets(edges, n), val)
         assert _recall_at_10(table, codes(edges, m), val) == want
         assert _recall_at_10(table, codes(edges, m), {}) == 0.0
+
+
+def negatives(rng, edges, n, m, users, k):
+    return _negative_sampler(codes(edges, m), n, m)(rng, users, k)
+
+
+class TestNegatives:
+    @given(seed=st.integers(0, 10_000), k=st.sampled_from([1, 4, 16]))
+    @settings(max_examples=60, deadline=None)
+    def test_never_a_training_item(self, seed, k):
+        # dense usage; project 0 lacks a single library, so all its draws are that one
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 10)), int(rng.integers(2, 12))
+        held = [rng.choice(m, size=m - 1 if u == 0 else rng.integers(1, m), replace=False) for u in range(n)]
+        edges = np.array([(u, i) for u, items in enumerate(held) for i in items])
+        users = rng.integers(0, n, size=int(rng.integers(1, 40)))
+        got = negatives(rng, edges, n, m, users, k)
+        assert got.shape == (len(users), k)
+        for u, row in zip(users, got):
+            assert set(row.tolist()).isdisjoint(held[u]) and row.min() >= 0 and row.max() < m
+        assert set(got[users == 0].ravel().tolist()) <= set(range(m)) - set(held[0].tolist())
+
+    def test_uniform_over_each_complement(self):
+        # interleaved projects of degree 0.. m-1 in one call; per project, the
+        # counts over its non-items pass a chi-square test (fixed seed)
+        m = 12
+        held = {0: [], 1: [3, 4, 5, 11], 2: list(range(1, 12, 2)), 3: list(range(1, 12))}
+        edges = np.array([(u, i) for u, items in held.items() for i in items] + [(0, 0)])
+        held[0] = [0]
+        users = np.tile(np.arange(4), 500)
+        got = negatives(np.random.default_rng(13), edges, 4, m, users, 30)
+        for u, items in held.items():
+            counts = np.bincount(got[users == u].ravel(), minlength=m)
+            assert not counts[items].any()
+            free = np.delete(counts, items)
+            assert free.min() > 0
+            if len(free) > 1:
+                assert chisquare(free).pvalue > 1e-3
+
+    def test_project_with_every_library_rejected(self):
+        ds = ingest(["a\tx", "a\ty", "b\tx"])
+        with pytest.raises(DataError, match="a uses all 2 libraries"):
+            train_embeddings(ds, small_cfg())
 
 
 class TestPersistence:

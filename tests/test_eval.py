@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tplrec.agent import AgentConfig
-from tplrec.data import ingest, popularity
+from tplrec.data import InteractionDataset, ingest, popularity
 from tplrec.embed import EmbedConfig
 import tplrec.evaluation
 from tplrec.errors import DataError, NumericError
@@ -254,6 +254,15 @@ class TestFoldFailures:
             report = run_protocol(ds, fast_cfg())
         assert report.incomplete == [1]
         assert report.averages == report.fold_metrics[0]
+
+    def test_project_with_every_library_marks_fold_incomplete(self):
+        # the project trains in one fold, which fails, and is tested in the other
+        ds = planted_communities(**SMALL)
+        every = [(ds.n_projects, i) for i in range(ds.n_libraries)]
+        ds = InteractionDataset(ds.projects + ("every",), ds.libraries, np.concatenate([ds.interactions, every]))
+        with pytest.warns(UserWarning, match="every uses all 30 libraries"):
+            report = run_protocol(ds, fast_cfg(protocol="coldstart-100"))
+        assert len(report.incomplete) == 1
 
     def test_programming_error_propagates(self, monkeypatch):
         fail_training(monkeypatch, lambda seed: TypeError("bug") if seed == 1 else None)
