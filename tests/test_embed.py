@@ -301,15 +301,13 @@ class TestNegatives:
         assert got.shape == (len(users), k)
         for u, row in zip(users, got):
             assert set(row.tolist()).isdisjoint(held[u]) and row.min() >= 0 and row.max() < m
-        assert set(got[users == 0].ravel().tolist()) <= set(range(m)) - set(held[0].tolist())
 
     def test_uniform_over_each_complement(self):
-        # interleaved projects of degree 0.. m-1 in one call; per project, the
-        # counts over its non-items pass a chi-square test (fixed seed)
+        # interleaved projects of degree 1, 4, 6 and m - 1 in one call; per
+        # project, the counts over its non-items pass a chi-square test (fixed seed)
         m = 12
-        held = {0: [], 1: [3, 4, 5, 11], 2: list(range(1, 12, 2)), 3: list(range(1, 12))}
-        edges = np.array([(u, i) for u, items in held.items() for i in items] + [(0, 0)])
-        held[0] = [0]
+        held = {0: [0], 1: [3, 4, 5, 11], 2: list(range(1, 12, 2)), 3: list(range(1, 12))}
+        edges = np.array([(u, i) for u, items in held.items() for i in items])
         users = np.tile(np.arange(4), 500)
         got = negatives(np.random.default_rng(13), edges, 4, m, users, 30)
         for u, items in held.items():
