@@ -137,23 +137,23 @@ def debiased_contrastive_loss(emb, users, pos, negs, pos_weight, tau):
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0  # an all-zero row that no sample touches keeps a zero gradient
     unit = emb / norms
-    cos_p = np.einsum("bd,bd->b", unit[users], unit[pos])
-    cos_n = np.einsum("bd,bkd->bk", unit[users], unit[negs])
+    other = np.concatenate([pos[:, None], negs], axis=1)  # the positive, then the negatives
+    cos = np.einsum("bd,bkd->bk", unit[users], unit[other])
 
-    logits = np.concatenate([(pos_weight * cos_p / tau)[:, None], cos_n / tau], axis=1)
+    logits = cos / tau
+    logits[:, 0] = pos_weight * cos[:, 0] / tau
     mx = logits.max(axis=1, keepdims=True)
     lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
     loss = float(np.mean(lse - logits[:, 0]))
 
-    # d loss / d cos for every (user, other) pair: the positive, then the negatives
+    # d loss / d cos for every (user, other) pair
     soft = np.exp(logits - lse[:, None])
     dcos = soft / (b * tau)
     dcos[:, 0] = (soft[:, 0] - 1.0) * pos_weight / (b * tau)
 
     # d cos(x, y) / d unit(x) = unit(y), so the gradient with respect to the unit
     # rows is S @ unit for the symmetric matrix S of pair weights (duplicates summed)
-    mine = np.repeat(users, k + 1)
-    other = np.concatenate([pos[:, None], negs], axis=1).ravel()
+    mine, other = np.repeat(users, k + 1), other.ravel()
     s = sp.csr_matrix((np.tile(dcos.ravel(), 2), (np.r_[mine, other], np.r_[other, mine])),
                       shape=(len(emb), len(emb)))
     g = s @ unit
