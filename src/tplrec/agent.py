@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy.special import logsumexp, softmax
+from scipy.special import logsumexp
 
-from .artifact import read_artifact, write_artifact
+from .artifact import Artifact, read_artifact
 from .coldstart import RepresentativeTable, aggregate
 from .data import RARE_THRESHOLD, InteractionDataset, PopularityTable, popularity
 from .embed import EmbeddingTable
@@ -79,6 +79,7 @@ class QNetwork:
         self.state_dim = state_dim
         self.n_actions = n_actions
         self.hidden = hidden
+        self.model_id: str | None = None  # the id of the model it was loaded from
         s1 = np.sqrt(2.0 / state_dim)
         s2 = np.sqrt(2.0 / hidden)
         self.params: dict[str, np.ndarray] = {
@@ -96,7 +97,8 @@ class QNetwork:
         z = states @ self.params["w1"].T + self.params["b1"]
         h = np.maximum(z, 0.0)
         v = h @ self.params["wv"] + self.params["bv"][0]
-        a = h @ self.params["wa"].T + self.params["ba"]
+        a = h @ self.params["wa"].T
+        a += self.params["ba"]
         return v, a, (states, z, h)
 
     def forward(self, states: np.ndarray) -> np.ndarray:
@@ -104,23 +106,28 @@ class QNetwork:
         return q
 
     def forward_cached(self, states: np.ndarray):
-        v, a, cache = self.streams(states)
-        q = v[:, None] + a - a.mean(axis=1, keepdims=True)
+        # In place over the advantages, bitwise equal to v + a - mean(a).
+        v, q, cache = self.streams(states)
+        mean = q.mean(axis=1, keepdims=True)
+        q += v[:, None]
+        q -= mean
         return q, cache
 
     def backward(self, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss given d loss / d Q."""
+        """Gradients of a scalar loss given d loss / d Q, which it overwrites."""
         states, z, h = cache
         dv = dq.sum(axis=1)
-        da = dq - dq.mean(axis=1, keepdims=True)
+        da = dq
+        da -= dq.mean(axis=1, keepdims=True)
         grads = {
             "wv": h.T @ dv,
             "bv": np.array([dv.sum()]),
             "wa": da.T @ h,
             "ba": da.sum(axis=0),
         }
-        dh = np.outer(dv, self.params["wv"]) + da @ self.params["wa"]
-        dz = dh * (z > 0.0)
+        dz = da @ self.params["wa"]
+        dz += np.outer(dv, self.params["wv"])
+        dz *= z > 0.0
         grads["w1"] = dz.T @ states
         grads["b1"] = dz.sum(axis=0)
         return grads
@@ -132,6 +139,7 @@ class QNetwork:
         net.hidden, net.state_dim = params["w1"].shape
         net.n_actions = params["wa"].shape[0]
         net.params = params
+        net.model_id = None
         return net
 
     def clone(self) -> "QNetwork":
@@ -146,16 +154,24 @@ def _qnet_layout(d: int, h: int, m: int):
     return [((h, d), "<f4"), ((h,), "<f4"), ((h,), "<f4"), ((1,), "<f4"), ((m, h), "<f4"), ((m,), "<f4")]
 
 
-def save_qnetwork(path, net: QNetwork) -> None:
+def qnetwork_artifact(net: QNetwork) -> Artifact:
     """Artifact TPLQ with dims (state, hidden, actions): the parameter
     arrays w1, b1, wv, bv, wa, ba in that order as float32."""
-    write_artifact(path, _MAGIC_Q, (net.state_dim, net.hidden, net.n_actions),
-                   [(net.params[name], "<f4") for name in _QNET_PARAMS])
+    return Artifact.of(_MAGIC_Q, (net.state_dim, net.hidden, net.n_actions),
+                       [(net.params[name], "<f4") for name in _QNET_PARAMS])
+
+
+def save_qnetwork(path, net: QNetwork, model_id: str | None = None) -> None:
+    """Write the artifact stamped with `model_id`, else with the id the
+    network was loaded with, else with its own."""
+    qnetwork_artifact(net).write(path, model_id or net.model_id)
 
 
 def load_qnetwork(path) -> QNetwork:
-    arrays = read_artifact(path, _MAGIC_Q, _qnet_layout)
-    return QNetwork.from_params({name: a.astype(np.float64) for name, a in zip(_QNET_PARAMS, arrays)})
+    model_id, arrays = read_artifact(path, _MAGIC_Q, _qnet_layout)
+    net = QNetwork.from_params({name: a.astype(np.float64) for name, a in zip(_QNET_PARAMS, arrays)})
+    net.model_id = model_id
+    return net
 
 
 def reward(state: np.ndarray, action: int, lib_table: np.ndarray) -> float:
@@ -229,7 +245,13 @@ def cql_loss(batch, online: QNetwork, target: QNetwork, alpha: float, gamma: flo
     if not np.isfinite(loss):
         raise NumericError("CQL loss is non-finite")
 
-    dq = alpha * w[:, None] * softmax(q, axis=1)
+    # alpha * w * softmax(q) in place over q, which is not read again: scipy's
+    # softmax in the same operation order, so the result is bitwise the same.
+    dq = q
+    dq -= dq.max(axis=1, keepdims=True)
+    np.exp(dq, out=dq)
+    dq /= dq.sum(axis=1, keepdims=True)
+    dq *= (alpha * w)[:, None]
     one_hot_scale = w * (alpha + (y - q_a))
     dq[np.arange(b), actions] -= one_hot_scale
     grads = online.backward(cache, dq)
@@ -265,6 +287,11 @@ class ReplayBuffer:
         self._rand_seen = 0
         self.seq: deque[tuple[int, Transition]] = deque(maxlen=self._cap["seq"] or 1)
         self._seq_cursor = 0
+        # The sequential partition indexed by project, kept with `seq`: each
+        # project's transitions oldest first, the projects in order of their
+        # newest one, and that order newest first (None when stale).
+        self._seq_by_project: dict[int, list[Transition]] = {}
+        self._seq_newest_first: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.rare) + len(self.rand) + len(self.seq)
@@ -281,7 +308,18 @@ class ReplayBuffer:
                 if j < self._cap["rand"]:
                     self.rand[j] = t
         if self._cap["seq"]:
-            self.seq.append((int(project), t))
+            project = int(project)
+            per = self._seq_by_project
+            if len(self.seq) == self.seq.maxlen:  # the append below evicts the oldest
+                old = self.seq[0][0]
+                del per[old][0]
+                if not per[old]:
+                    del per[old]
+            self.seq.append((project, t))
+            queue = per.pop(project, [])
+            queue.append(t)
+            per[project] = queue
+            self._seq_newest_first = None
 
     def _quotas(self, batch_size: int) -> dict[str, int]:
         q = {
@@ -309,13 +347,12 @@ class ReplayBuffer:
         return [pool[int(j)] for j in idx]
 
     def _sample_seq(self, k: int) -> list[Transition]:
-        per: dict[int, list[Transition]] = {}
-        order: list[int] = []
-        for project, t in reversed(self.seq):  # newest first
-            if project not in per:
-                per[project] = []
-                order.append(project)
-            per[project].append(t)
+        """Round-Robin over projects, newest project first from the cursor,
+        each project's transitions newest first."""
+        per = self._seq_by_project
+        if self._seq_newest_first is None:
+            self._seq_newest_first = list(reversed(per))
+        order = self._seq_newest_first
         start = self._seq_cursor % len(order)
         rotation = order[start:] + order[:start]
         picks: list[Transition] = []
@@ -324,7 +361,7 @@ class ReplayBuffer:
             advanced = False
             for p in rotation:
                 if depth < len(per[p]):
-                    picks.append(per[p][depth])
+                    picks.append(per[p][-1 - depth])
                     advanced = True
                     if len(picks) == k:
                         break
@@ -494,7 +531,8 @@ def _answer_block(queries: list[list[int]], k: int, net: QNetwork, rep: Represen
         if not live.size:
             return picks
         q = net.forward(total / count[:, None])
-        actions = np.where(allowed, q, -np.inf).argmax(axis=1)  # first maximum: lowest index
+        np.copyto(q, -np.inf, where=~allowed)  # every pick is allowed, so its Q-value stays
+        actions = q.argmax(axis=1)  # first maximum: lowest index
         at = np.arange(len(live))
         for r, a, v in zip(live.tolist(), actions.tolist(), q[at, actions].tolist()):
             picks[r].append((a, v))

@@ -1,35 +1,67 @@
 """The binary format shared by the embedding, representative and Q-network
 artifacts.
 
-Layout: a 4-byte magic, a version byte, three u32 LE dimensions, then
-the artifact's arrays back to back, each row-major in its stored dtype.
-The dimensions fix every array's shape, so the header implies the
-file's length.
+Layout: a 4-byte magic, a version byte, three pad bytes, three u32 LE
+dimensions and the 8-byte model id, then the artifact's arrays back to
+back, each row-major in its stored dtype. The dimensions fix every
+array's shape, so the header implies the file's length. `tplrec train`
+stamps one model id, a digest of all its artifacts' payloads, into
+every artifact it writes, so a reader can tell whether files come from
+the same training run without hashing them.
 """
 from __future__ import annotations
 
+import hashlib
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
 
-VERSION = 1
-_HEADER = struct.Struct("<4sB3I")
+VERSION = 2
+ID_BYTES = 8
+# 28 bytes: float32 arrays after it stay 4-byte aligned in the file buffer.
+_HEADER = struct.Struct(f"<4sB3x3I{ID_BYTES}s")
 
 
-def write_artifact(path, magic: bytes, dims: tuple[int, int, int], arrays) -> None:
-    """Header, then each (array, stored dtype) pair of `arrays` in order."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(magic, VERSION, *dims))
-        for array, dtype in arrays:
-            fh.write(np.asarray(array).astype(dtype).tobytes())
+@dataclass(frozen=True, eq=False)
+class Artifact:
+    """An artifact's magic, dimensions and encoded arrays."""
+
+    magic: bytes
+    dims: tuple[int, int, int]
+    payload: bytes
+
+    @classmethod
+    def of(cls, magic: bytes, dims, arrays) -> "Artifact":
+        """Encode each (array, stored dtype) pair of `arrays` in order."""
+        return cls(magic, tuple(int(x) for x in dims),
+                   b"".join(np.asarray(array).astype(dtype).tobytes() for array, dtype in arrays))
+
+    def write(self, path, model_id: str | None = None) -> None:
+        """Header, then the payload; without `model_id` the artifact's own id."""
+        with open(path, "wb") as fh:
+            fh.write(_HEADER.pack(self.magic, VERSION, *self.dims, bytes.fromhex(model_id or model_id_of(self))))
+            fh.write(self.payload)
 
 
-def read_artifact(path, magic: bytes, layout) -> list[np.ndarray]:
-    """The arrays of an artifact, where `layout(*dims)` lists each one's
-    (shape, stored dtype).
+def model_id_of(*artifacts: Artifact) -> str:
+    """Hex id of a model: the truncated sha256 of its artifacts' magics,
+    dimensions and payloads, in the given order."""
+    digest = hashlib.sha256()
+    for art in artifacts:
+        digest.update(art.magic)
+        digest.update(struct.pack("<3I", *art.dims))
+        digest.update(art.payload)
+    return digest.hexdigest()[:2 * ID_BYTES]
+
+
+def read_artifact(path, magic: bytes, layout) -> tuple[str, list[np.ndarray]]:
+    """The model id and the arrays of an artifact, where `layout(*dims)`
+    lists each array's (shape, stored dtype). The arrays are read-only
+    views of the file's bytes, not copies.
 
     Raises DataError on a wrong magic or version, when the file's
     length differs from the one its header implies, or when a float
@@ -38,11 +70,13 @@ def read_artifact(path, magic: bytes, layout) -> list[np.ndarray]:
     raw = Path(path).read_bytes()
     if raw[:4] != magic:
         raise DataError(f"bad magic in {path}: expected {magic!r}")
+    if len(raw) < 5:
+        raise DataError(f"truncated header in {path}")
+    if raw[4] != VERSION:
+        raise DataError(f"unsupported version {raw[4]} in {path} (expected {VERSION}; retrain the model)")
     if len(raw) < _HEADER.size:
         raise DataError(f"truncated header in {path}")
-    _, version, *dims = _HEADER.unpack_from(raw)
-    if version != VERSION:
-        raise DataError(f"unsupported version {version} in {path}")
+    _, _, *dims, model_id = _HEADER.unpack_from(raw)
     parts = [(shape, np.dtype(dtype)) for shape, dtype in layout(*dims)]
     sizes = [int(np.prod(shape)) * dtype.itemsize for shape, dtype in parts]
     expected = _HEADER.size + sum(sizes)
@@ -50,9 +84,9 @@ def read_artifact(path, magic: bytes, layout) -> list[np.ndarray]:
         raise DataError(f"{path} has {len(raw)} bytes where its header implies {expected}")
     arrays, off = [], _HEADER.size
     for (shape, dtype), size in zip(parts, sizes):
-        array = np.frombuffer(raw[off:off + size], dtype=dtype).reshape(shape)
+        array = np.frombuffer(raw, dtype=dtype, count=size // dtype.itemsize, offset=off).reshape(shape)
         if dtype.kind == "f" and not np.isfinite(array).all():
             raise DataError(f"{path} holds non-finite values")
         arrays.append(array)
         off += size
-    return arrays
+    return model_id.hex(), arrays

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import MODES, AgentConfig, load_qnetwork, recommend, save_qnetwork, train_agent
+from .agent import MODES, AgentConfig, load_qnetwork, qnetwork_artifact, recommend, save_qnetwork, train_agent
+from .artifact import model_id_of
 from .coldstart import RepresentativeTable, build_representatives
 from .data import InteractionDataset, ingest, popularity
 from .embed import EmbedConfig, EmbeddingTable, train_embeddings
@@ -122,18 +123,36 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_vocab(path: Path, ds: InteractionDataset) -> None:
-    lines = [f"project\t{name}" for name in ds.projects]
+def _write_vocab(path: Path, ds: InteractionDataset, model_id: str) -> None:
+    """The model id line, then one line per project and one per library, in index order."""
+    lines = [f"model\t{model_id}"]
+    lines += [f"project\t{name}" for name in ds.projects]
     lines += [f"library\t{name}" for name in ds.libraries]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_vocab(path: Path) -> tuple[list[str], list[str]]:
-    projects, libraries = [], []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        kind, _, name = line.partition("\t")
-        (projects if kind == "project" else libraries).append(name)
-    return projects, libraries
+class _Libraries:
+    """The model id and the library lines of a vocabulary file, looked up in
+    its bytes: a query needs a few names, not a string per library."""
+
+    def __init__(self, path: Path):
+        raw = b"\n" + path.read_bytes()  # every line, the first too, follows a newline
+        self.raw = raw if raw.endswith(b"\n") else raw + b"\n"
+        self.model_id = raw[7:raw.find(b"\n", 1)].decode() if raw.startswith(b"\nmodel\t") else None
+        first = self.raw.find(b"\nlibrary\t")
+        self.start = len(self.raw) if first < 0 else first + 1
+        self.ends = self.start + np.flatnonzero(np.frombuffer(self.raw, np.uint8)[self.start:] == 10)
+
+    def index(self, name: str) -> int | None:
+        """The library index of `name`, or None if no library line holds it."""
+        if "\n" in name:
+            return None
+        at = self.raw.find(b"\nlibrary\t" + name.encode() + b"\n", self.start - 1)
+        return None if at < 0 else int(np.searchsorted(self.ends, at, "right"))
+
+    def __getitem__(self, j: int) -> str:
+        begin = self.start if j == 0 else self.ends[j - 1] + 1
+        return self.raw[begin + 8:self.ends[j]].decode()
 
 
 def cmd_ingest(args) -> int:
@@ -168,11 +187,12 @@ def cmd_train(args) -> int:
     rep = build_representatives(emb.table, ds, run.blend)
     net, stats = train_agent(ds, emb.table, rep, run.agent)
 
-    emb.table.save(out / "embeddings.tple")
-    rep.save(out / "representatives.tplr")
-    save_qnetwork(out / "qnet.tplq", net)
+    model_id = model_id_of(emb.table.artifact(), rep.artifact(), qnetwork_artifact(net))
+    emb.table.save(out / "embeddings.tple", model_id)
+    rep.save(out / "representatives.tplr", model_id)
+    save_qnetwork(out / "qnet.tplq", net, model_id)
     stats.write_curve(out / "curve.csv")
-    _write_vocab(out / "vocab.tsv", ds)
+    _write_vocab(out / "vocab.tsv", ds, model_id)
 
     manifest = _config_lines(cfg)
     for name in ("embeddings.tple", "representatives.tplr", "qnet.tplq", "curve.csv", "vocab.tsv"):
@@ -192,16 +212,18 @@ def cmd_recommend(args) -> int:
     for name in ("qnet.tplq", "representatives.tplr", "vocab.tsv"):
         if not (model_dir / name).is_file():
             raise DataError(f"missing model artifact: {model_dir / name}")
-    _, libraries = _read_vocab(model_dir / "vocab.tsv")
-    index = {name: j for j, name in enumerate(libraries)}
-
-    unknown = [q for q in query_ids if q not in index]
+    libraries = _Libraries(model_dir / "vocab.tsv")
+    query = [libraries.index(q) for q in query_ids]
+    unknown = [q for q, j in zip(query_ids, query) if j is None]
     if unknown:
         raise DataError(f"unknown library ids: {', '.join(unknown)}")
-    query = [index[q] for q in query_ids]
 
     net = load_qnetwork(model_dir / "qnet.tplq")
     rep = RepresentativeTable.load(model_dir / "representatives.tplr")
+    ids = {"vocab.tsv": libraries.model_id, "qnet.tplq": net.model_id, "representatives.tplr": rep.model_id}
+    if len(set(ids.values())) != 1:
+        raise DataError(f"{model_dir} mixes files of different trainings: "
+                        + ", ".join(f"{name} has model id {i or 'none'}" for name, i in ids.items()))
     picks = recommend(query, args.k, net, rep, mode=args.mode, with_scores=True)
     for rank, (a, qval) in enumerate(picks, 1):
         print(f"{rank}\t{libraries[a]}\t{qval:.6f}")
@@ -230,36 +252,49 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> _Parser:
+# Each command's help line, handler and arguments, as (flags, options) pairs.
+COMMANDS = {
+    "ingest": ("parse a dataset and print summary statistics", cmd_ingest, [(("dataset",), {})]),
+    "train": ("train embeddings, representatives, and the agent", cmd_train,
+              [(("--config",), {"default": None})]),
+    "recommend": ("rank libraries for a query set", cmd_recommend, [
+        (("--model-dir",), {"required": True}),
+        (("--query",), {"required": True, "help": "comma-separated library ids"}),
+        (("--k",), {"type": int, "default": 10}),
+        (("--mode",), {"choices": MODES, "default": "sequential"}),
+    ]),
+    "evaluate": ("run an evaluation protocol and write reports", cmd_evaluate,
+                 [(("--config",), {"default": None})]),
+}
+
+
+def _add_command(parser: _Parser, name: str) -> _Parser:
+    _, func, arguments = COMMANDS[name]
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(command=name, func=func)
+    return parser
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every command; given a command, that command's parser
+    alone, which parses its arguments (without the command name) alike."""
+    if command is not None:
+        return _add_command(_Parser(prog=f"tplrec {command}"), command)
     parser = _Parser(prog="tplrec", description="Third-party library recommendation engine")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("ingest", help="parse a dataset and print summary statistics")
-    p.add_argument("dataset")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("train", help="train embeddings, representatives, and the agent")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("recommend", help="rank libraries for a query set")
-    p.add_argument("--model-dir", required=True)
-    p.add_argument("--query", required=True, help="comma-separated library ids")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--mode", choices=MODES, default="sequential")
-    p.set_defaults(func=cmd_recommend)
-
-    p = sub.add_parser("evaluate", help="run an evaluation protocol and write reports")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_evaluate)
+    for name, (help_line, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # A run of a named command builds only that command's parser.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    parser = build_parser(command)
     try:
-        args, extra = parser.parse_known_args(argv)
+        args, extra = parser.parse_known_args(argv[1:] if command else argv)
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return EXIT_USAGE

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .artifact import read_artifact, write_artifact
+from .artifact import Artifact, read_artifact
 from .data import InteractionDataset
 from .embed import EmbeddingTable
 from .errors import DataError
@@ -27,25 +27,32 @@ class RepresentativeTable:
     vectors: np.ndarray
     blend: float
     has_rep: np.ndarray  # bool mask: libraries with >= 1 training interaction
+    model_id: str | None = None  # the id of the model it was loaded from
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def save(self, path) -> None:
+    def artifact(self) -> Artifact:
         """Artifact TPLR with dims (0, M, d): the embedding-table layout with
         no project rows, then the blend weight as float32 and the
         availability mask as one byte per library."""
         m, d = self.vectors.shape
-        write_artifact(path, _MAGIC_REP, (0, m, d),
-                       [(self.vectors, "<f4"), ([self.blend], "<f4"), (self.has_rep, np.uint8)])
+        return Artifact.of(_MAGIC_REP, (0, m, d),
+                           [(self.vectors, "<f4"), ([self.blend], "<f4"), (self.has_rep, np.uint8)])
+
+    def save(self, path, model_id: str | None = None) -> None:
+        """Write the artifact stamped with `model_id`, else with the id it
+        was loaded with, else with its own."""
+        self.artifact().write(path, model_id or self.model_id)
 
     @classmethod
     def load(cls, path) -> "RepresentativeTable":
-        _, vectors, blend, mask = read_artifact(path, _MAGIC_REP, lambda n, m, d: [
+        model_id, (_, vectors, blend, mask) = read_artifact(path, _MAGIC_REP, lambda n, m, d: [
             ((n, d), "<f4"), ((m, d), "<f4"), ((1,), "<f4"), ((m,), np.uint8),
         ])
-        return cls(vectors=vectors.astype(np.float64), blend=float(blend[0]), has_rep=mask.astype(bool))
+        return cls(vectors=vectors.astype(np.float64), blend=float(blend[0]), has_rep=mask.astype(bool),
+                   model_id=model_id)
 
 
 def build_representatives(table: EmbeddingTable, train: InteractionDataset, blend: float) -> RepresentativeTable:

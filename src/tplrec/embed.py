@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .artifact import read_artifact, write_artifact
+from .artifact import Artifact, read_artifact
 from .data import InteractionDataset
 from .errors import DataError, NumericError
 from .optim import Adam
@@ -63,6 +63,7 @@ class EmbeddingTable:
 
     projects: np.ndarray
     libraries: np.ndarray
+    model_id: str | None = None  # the id of the model it was loaded from
 
     @property
     def dim(self) -> int:
@@ -76,16 +77,21 @@ class EmbeddingTable:
 
         return EmbeddingTable(norm_rows(self.projects), norm_rows(self.libraries))
 
-    def save(self, path) -> None:
+    def artifact(self) -> Artifact:
         """Artifact TPLE with dims (N, M, d): the N*d project values, then
         the M*d library values, as float32."""
-        write_artifact(path, _MAGIC_EMB, (len(self.projects), len(self.libraries), self.dim),
-                       [(self.projects, "<f4"), (self.libraries, "<f4")])
+        return Artifact.of(_MAGIC_EMB, (len(self.projects), len(self.libraries), self.dim),
+                           [(self.projects, "<f4"), (self.libraries, "<f4")])
+
+    def save(self, path, model_id: str | None = None) -> None:
+        """Write the artifact stamped with `model_id`, else with the id it
+        was loaded with, else with its own."""
+        self.artifact().write(path, model_id or self.model_id)
 
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
-        proj, lib = read_artifact(path, _MAGIC_EMB, lambda n, m, d: [((n, d), "<f4"), ((m, d), "<f4")])
-        return cls(proj.astype(np.float64), lib.astype(np.float64))
+        model_id, (proj, lib) = read_artifact(path, _MAGIC_EMB, lambda n, m, d: [((n, d), "<f4"), ((m, d), "<f4")])
+        return cls(proj.astype(np.float64), lib.astype(np.float64), model_id)
 
 
 def build_adjacency(ds: InteractionDataset) -> sp.csr_matrix:
@@ -237,10 +243,10 @@ class EmbedResult:
     best_recall: float = 0.0
 
 
-def train_embeddings(train: InteractionDataset, cfg: EmbedConfig, validation: dict[int, list[int]] | None = None) -> EmbedResult:
+def train_embeddings(train: InteractionDataset, cfg: EmbedConfig) -> EmbedResult:
     """Mini-batch training with early stopping on validation Recall@10.
 
-    When ``validation`` is None, a seeded 10% interaction holdout is
+    Validation is a seeded ``cfg.val_fraction`` interaction holdout
     carved from the training data. Returns the best-validation snapshot
     with rows renormalized to unit norm, plus a per-epoch history of
     (epoch, mean loss, validation recall).
@@ -251,11 +257,7 @@ def train_embeddings(train: InteractionDataset, cfg: EmbedConfig, validation: di
         raise DataError(f"project {train.projects[full[0]]} uses all {m} libraries, so it has no negatives to sample")
     rng = np.random.default_rng(cfg.seed)
 
-    if validation is None:
-        train_edges, validation = _holdout_validation(rng, train, cfg.val_fraction)
-    else:
-        train_edges = train.interactions
-        validation = {int(u): list(v) for u, v in validation.items()}
+    train_edges, validation = _holdout_validation(rng, train, cfg.val_fraction)
 
     adj = _adjacency_from_edges(n, m, train_edges)
     rates = np.bincount(train_edges[:, 1], minlength=m) / float(n)

@@ -173,3 +173,82 @@ def recommend_loop(query, k, net, rep, mode="sequential", with_scores=False):
     if with_scores:
         return picks
     return [a for a, _ in picks]
+
+
+def q_forward_cached(net, states):
+    """The dueling forward as the expression v + a - mean(a) over fresh
+    arrays; returns Q and the (states, z, h) cache."""
+    p = net.params
+    states = np.atleast_2d(states)
+    z = states @ p["w1"].T + p["b1"]
+    h = np.maximum(z, 0.0)
+    v = h @ p["wv"] + p["bv"][0]
+    a = h @ p["wa"].T + p["ba"]
+    return v[:, None] + a - a.mean(axis=1, keepdims=True), (states, z, h)
+
+
+def q_backward(net, cache, dq):
+    """The dueling backward over fresh arrays, leaving `dq` as it is."""
+    states, z, h = cache
+    dv = dq.sum(axis=1)
+    da = dq - dq.mean(axis=1, keepdims=True)
+    grads = {
+        "wv": h.T @ dv,
+        "bv": np.array([dv.sum()]),
+        "wa": da.T @ h,
+        "ba": da.sum(axis=0),
+    }
+    dh = np.outer(dv, net.params["wv"]) + da @ net.params["wa"]
+    dz = dh * (z > 0.0)
+    grads["w1"] = dz.T @ states
+    grads["b1"] = dz.sum(axis=0)
+    return grads
+
+
+def cql_loss_expr(batch, online, target, alpha, gamma, weights=None):
+    """The CQL loss, gradients and regularizer from the oracle forward and
+    backward, with d loss / d Q as alpha * w * softmax(q) over fresh arrays."""
+    from scipy.special import logsumexp, softmax
+
+    from tplrec.agent import _q_targets
+
+    b = len(batch)
+    w = np.full(b, 1.0 / b) if weights is None else np.asarray(weights, dtype=np.float64)
+    y = _q_targets(batch, online, target, gamma)
+    states = np.stack([t.state for t in batch])
+    actions = np.array([t.action for t in batch])
+    q, cache = q_forward_cached(online, states)
+    q_a = q[np.arange(b), actions]
+    reg = logsumexp(q, axis=1) - q_a
+    loss = float(w @ (alpha * reg + 0.5 * (y - q_a) ** 2))
+    dq = alpha * w[:, None] * softmax(q, axis=1)
+    dq[np.arange(b), actions] -= w * (alpha + (y - q_a))
+    return loss, q_backward(online, cache, dq), reg
+
+
+def sample_seq_rebuild(entries, cursor, k):
+    """Sequential-partition picks rebuilt from the (project, transition)
+    entries in arrival order: projects newest first, rotated to the
+    cursor, then Round-Robin by depth, each project's transitions newest
+    first. Returns the picks and the advanced cursor."""
+    per, order = {}, []
+    for project, t in reversed(entries):
+        if project not in per:
+            per[project] = []
+            order.append(project)
+        per[project].append(t)
+    start = cursor % len(order)
+    rotation = order[start:] + order[:start]
+    picks, depth = [], 0
+    while len(picks) < k:
+        advanced = False
+        for p in rotation:
+            if depth < len(per[p]):
+                picks.append(per[p][depth])
+                advanced = True
+                if len(picks) == k:
+                    break
+        if not advanced:
+            depth = -1
+        depth += 1
+    return picks, (cursor + k) % len(order)

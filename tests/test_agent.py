@@ -28,7 +28,8 @@ from tplrec.data import ingest, popularity
 from tplrec.embed import EmbeddingTable
 from tplrec.errors import DataError
 
-from oracles import recommend_loop, reward_expanded
+from oracles import (cql_loss_expr, q_backward, q_forward_cached, recommend_loop, reward_expanded,
+                     sample_seq_rebuild)
 
 
 def unit_rows(rng, n, d):
@@ -63,7 +64,7 @@ class TestQNetwork:
         coef = rng.normal(size=(4, 5))  # loss = sum(coef * Q)
 
         q, cache = net.forward_cached(states)
-        grads = net.backward(cache, coef)
+        grads = net.backward(cache, coef.copy())  # backward overwrites its d loss / d Q
         eps = 1e-6
         for name, p in net.params.items():
             it = np.nditer(p, flags=["multi_index"])
@@ -82,6 +83,54 @@ class TestQNetwork:
         twin = net.clone()
         twin.params["w1"][0, 0] += 1.0
         assert net.params["w1"][0, 0] != twin.params["w1"][0, 0]
+
+
+class TestInPlaceKernels:
+    """The forward, backward and CQL step work in place over their own
+    arrays; each must be bitwise the fresh-array expression of
+    tests/oracles.py."""
+
+    def make_net(self, rng, d, m, hidden):
+        net = QNetwork(d, m, hidden=hidden, rng=rng)
+        for name in ("b1", "bv", "ba"):
+            net.params[name][...] = rng.normal(size=net.params[name].shape)
+        return net
+
+    @given(seed=st.integers(0, 10_000), b=st.integers(1, 6), d=st.integers(1, 5), m=st.integers(1, 9),
+           hidden=st.integers(1, 8), scale=st.sampled_from([1.0, 40.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_forward_backward_equal_oracle(self, seed, b, d, m, hidden, scale):
+        rng = np.random.default_rng(seed)
+        net = self.make_net(rng, d, m, hidden)
+        states = scale * rng.normal(size=(b, d))
+        q, cache = net.forward_cached(states)
+        q_expected, cache_expected = q_forward_cached(net, states)
+        assert np.array_equal(q, q_expected)
+        dq = rng.normal(size=(b, m))
+        expected = q_backward(net, cache_expected, dq)
+        grads = net.backward(cache, dq.copy())
+        assert grads.keys() == expected.keys()
+        assert all(np.array_equal(grads[k], expected[k]) for k in expected)
+
+    @given(seed=st.integers(0, 10_000), b=st.integers(1, 6), d=st.integers(1, 5), m=st.integers(1, 9),
+           hidden=st.integers(1, 8), scale=st.sampled_from([1.0, 40.0]), alpha=st.sampled_from([0.0, 0.5, 5.5]),
+           gamma=st.sampled_from([0.0, 0.9]), weighted=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_cql_loss_equals_oracle(self, seed, b, d, m, hidden, scale, alpha, gamma, weighted):
+        rng = np.random.default_rng(seed)
+        net, target = self.make_net(rng, d, m, hidden), self.make_net(rng, d, m, hidden)
+        batch = [make_transition(rng, d, m, terminal=bool(rng.integers(2))) for _ in range(b)]
+        for t in batch:
+            t.state *= scale
+        w = rng.random(b) if weighted else None
+        if weighted:
+            w /= w.sum()
+        loss, grads, reg = cql_loss(batch, net, target, alpha, gamma, w)
+        loss_expected, expected, reg_expected = cql_loss_expr(batch, net, target, alpha, gamma, w)
+        assert loss == loss_expected
+        assert np.array_equal(reg, reg_expected)
+        assert grads.keys() == expected.keys()
+        assert all(np.array_equal(grads[k], expected[k]) for k in expected)
 
 
 class TestReward:
@@ -349,6 +398,38 @@ class TestReplayBuffer:
         first, _ = buf.sample(1)
         second, _ = buf.sample(1)
         assert first[0].state[0] != second[0].state[0]
+
+
+class TestSeqReplayIndex:
+    """The sequential partition is indexed on insert and eviction; its
+    picks and cursor must be the full rebuild's (tests/oracles.py)."""
+
+    @given(seed=st.integers(0, 10_000), capacity=st.integers(1, 30), projects=st.integers(1, 8),
+           steps=st.integers(1, 150))
+    @settings(max_examples=60, deadline=None)
+    def test_picks_equal_rebuild(self, seed, capacity, projects, steps):
+        rng = np.random.default_rng(seed)
+        buf = ReplayBuffer(capacity, (0.0, 0.0, 1.0), pop_with_rates([0.5]), rng=seed)
+        inserted = 0
+        for _ in range(steps):
+            if not len(buf.seq) or rng.random() < 0.6:
+                buf.insert(Transition(np.array([float(inserted)]), 0, 1.0, np.zeros(1), True),
+                           project=int(rng.integers(projects)))
+                inserted += 1
+                continue
+            k = int(rng.integers(1, 2 * projects + 3))
+            expected, cursor = sample_seq_rebuild(list(buf.seq), buf._seq_cursor, k)
+            picks = buf._sample_seq(k)
+            assert len(picks) == len(expected) and all(a is b for a, b in zip(picks, expected))
+            assert buf._seq_cursor == cursor
+        assert len(buf.seq) == min(inserted, capacity)
+
+    def test_eviction_drops_a_project_whose_last_transition_leaves(self):
+        buf = ReplayBuffer(2, (0.0, 0.0, 1.0), pop_with_rates([0.5]), rng=0)
+        for tag, project in enumerate([7, 8, 8]):
+            buf.insert(Transition(np.array([float(tag)]), 0, 1.0, np.zeros(1), True), project=project)
+        picks = buf._sample_seq(3)
+        assert [t.state[0] for t in picks] == [2.0, 1.0, 2.0]
 
 
 class TestPartitionWeights:

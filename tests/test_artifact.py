@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tplrec.agent import QNetwork, load_qnetwork, save_qnetwork
+from tplrec.agent import QNetwork, load_qnetwork, qnetwork_artifact, save_qnetwork
+from tplrec.artifact import model_id_of
 from tplrec.cli import EXIT_DATA, EXIT_OK, main
 from tplrec.coldstart import RepresentativeTable
 from tplrec.embed import EmbeddingTable
@@ -18,10 +19,15 @@ def write_model(path):
     """Hand-built artifacts of a 6-library model, as `tplrec train` lays them out."""
     rng = np.random.default_rng(0)
     m, d = 6, 3
-    EmbeddingTable(rng.normal(size=(4, d)), rng.normal(size=(m, d))).save(path / "embeddings.tple")
-    RepresentativeTable(rng.normal(size=(m, d)), 0.5, np.ones(m, dtype=bool)).save(path / "representatives.tplr")
-    save_qnetwork(path / "qnet.tplq", QNetwork(d, m, hidden=5, rng=1))
-    (path / "vocab.tsv").write_text("project\tp0\n" + "".join(f"library\tlib{i}\n" for i in range(m)))
+    emb = EmbeddingTable(rng.normal(size=(4, d)), rng.normal(size=(m, d)))
+    rep = RepresentativeTable(rng.normal(size=(m, d)), 0.5, np.ones(m, dtype=bool))
+    net = QNetwork(d, m, hidden=5, rng=1)
+    model_id = model_id_of(emb.artifact(), rep.artifact(), qnetwork_artifact(net))
+    emb.save(path / "embeddings.tple", model_id)
+    rep.save(path / "representatives.tplr", model_id)
+    save_qnetwork(path / "qnet.tplq", net, model_id)
+    (path / "vocab.tsv").write_text(f"model\t{model_id}\nproject\tp0\n"
+                                    + "".join(f"library\tlib{i}\n" for i in range(m)))
 
 
 def resize(path, change):
@@ -78,7 +84,7 @@ def flip_exponent(path, value=0):
     """Set every exponent bit of the artifact's `value`-th stored float32,
     which makes it Inf or NaN without changing the file's length."""
     raw = bytearray(path.read_bytes())
-    at = 17 + 4 * value  # header: magic, version byte, three u32 dimensions
+    at = 28 + 4 * value  # header: magic, version byte, 3 pad bytes, three u32 dimensions, 8-byte model id
     raw[at + 2] |= 0x80
     raw[at + 3] |= 0x7F
     path.write_bytes(bytes(raw))
@@ -102,3 +108,28 @@ def test_recommend_exits_data_error_on_non_finite_artifact(tmp_path, capsys, nam
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("data error:") and name in err[0]
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_other_version_rejected(tmp_path, name):
+    write_model(tmp_path)
+    raw = bytearray((tmp_path / name).read_bytes())
+    raw[4] = 1
+    (tmp_path / name).write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="unsupported version 1"):
+        LOADERS[name](tmp_path / name)
+
+
+def test_loaded_model_ids_agree_and_survive_a_save(tmp_path):
+    write_model(tmp_path)
+    model_id = (tmp_path / "vocab.tsv").read_text().splitlines()[0].split("\t")[1]
+    loaded = {name: load(tmp_path / name) for name, load in LOADERS.items()}
+    assert {obj.model_id for obj in loaded.values()} == {model_id}
+    save_qnetwork(tmp_path / "again.tplq", loaded["qnet.tplq"])
+    assert load_qnetwork(tmp_path / "again.tplq").model_id == model_id
+
+
+def test_unstamped_save_uses_its_own_payload_id(tmp_path):
+    net = QNetwork(3, 4, hidden=5, rng=2)
+    save_qnetwork(tmp_path / "q.tplq", net)
+    assert load_qnetwork(tmp_path / "q.tplq").model_id == model_id_of(qnetwork_artifact(net))

@@ -1,7 +1,9 @@
+import shutil
+
 import numpy as np
 import pytest
 
-from tplrec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, UsageError, load_config, main
+from tplrec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, UsageError, _Libraries, load_config, main
 from tplrec.synth import head_tail, planted_communities
 
 
@@ -138,6 +140,28 @@ class TestIngest:
         assert "long-tail histogram" in out
 
 
+class TestVocabularyLookup:
+    def test_names_and_indices_match_the_library_lines(self, tmp_path):
+        names = ["lib1", "lib10", "a b", "p0", "lib1x"]
+        path = tmp_path / "vocab.tsv"
+        path.write_text("model\tabc\nproject\tp0\nproject\tlib1\n" + "".join(f"library\t{n}\n" for n in names))
+        libraries = _Libraries(path)
+        assert libraries.model_id == "abc"
+        assert [libraries[j] for j in range(len(names))] == names
+        assert [libraries.index(n) for n in names] == list(range(len(names)))
+        for absent in ("lib", "ib1", "lib1\nlibrary\tlib10", "project", "abc", ""):
+            assert libraries.index(absent) is None, absent
+
+    def test_file_without_model_line_or_libraries(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("library\tx\nlibrary\ty")  # no final newline
+        libraries = _Libraries(path)
+        assert libraries.model_id is None
+        assert (libraries.index("x"), libraries.index("y"), libraries[1]) == (0, 1, "y")
+        path.write_text("project\tp\n")
+        assert _Libraries(path).index("p") is None
+
+
 class TestTrainRecommend:
     def run_train(self, path, out, extra=()):
         args = ["train", "--dataset", str(path), "--output", str(out), *FAST_TRAIN, *extra]
@@ -221,6 +245,51 @@ class TestTrainRecommend:
             assert main(["recommend", "--model-dir", str(out), "--query", query, "--k", "3"]) == EXIT_OK
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+    def assert_one_data_error(self, argv, capsys, *fragments):
+        capsys.readouterr()
+        assert main(argv) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:"), err
+        assert all(f in err[0] for f in fragments), err[0]
+
+    def test_model_id_stamped_in_vocab_and_artifacts(self, dataset_file, tmp_path, capsys):
+        path, _ = dataset_file
+        out = tmp_path / "model"
+        assert self.run_train(path, out) == EXIT_OK
+        kind, model_id = (out / "vocab.tsv").read_text().splitlines()[0].split("\t")
+        assert kind == "model" and len(model_id) == 16
+        for name in ("embeddings.tple", "representatives.tplr", "qnet.tplq"):
+            raw = (out / name).read_bytes()
+            assert raw[4] == 2 and raw[20:28].hex() == model_id
+
+    def test_mixed_model_directory_is_data_error(self, dataset_file, tmp_path, capsys):
+        path, ds = dataset_file
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert self.run_train(path, a) == EXIT_OK
+        assert self.run_train(path, b, extra=["--seed", "1"]) == EXIT_OK
+        shutil.copy(b / "representatives.tplr", a / "representatives.tplr")
+        query = ds.libraries[ds.by_project[0][0]]
+        self.assert_one_data_error(["recommend", "--model-dir", str(a), "--query", query], capsys,
+                                   "model id", "representatives.tplr")
+
+    def test_version_one_model_is_data_error(self, dataset_file, tmp_path, capsys):
+        path, ds = dataset_file
+        out = tmp_path / "model"
+        assert self.run_train(path, out) == EXIT_OK
+        # rewrite the directory as the version-1 format wrote it: a 17-byte
+        # header without pad or model id, and no model line in the vocabulary
+        for name in ("embeddings.tple", "representatives.tplr", "qnet.tplq"):
+            raw = (out / name).read_bytes()
+            (out / name).write_bytes(raw[:4] + bytes([1]) + raw[8:20] + raw[28:])
+        vocab = out / "vocab.tsv"
+        vocab.write_text(vocab.read_text().split("\n", 1)[1])
+        query = ds.libraries[ds.by_project[0][0]]
+        self.assert_one_data_error(["recommend", "--model-dir", str(out), "--query", query], capsys,
+                                   "unsupported version 1", "qnet.tplq")
 
 
 class TestEvaluate:

@@ -345,5 +345,5 @@ class TestPersistence:
         table.save(path)
         raw = path.read_bytes()
         assert raw[:4] == b"TPLE"
-        assert raw[4] == 1
-        assert len(raw) == 4 + 1 + 12 + 4 * (2 + 4) * 3
+        assert raw[4] == 2
+        assert len(raw) == 4 + 1 + 3 + 12 + 8 + 4 * (2 + 4) * 3
