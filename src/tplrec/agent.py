@@ -287,9 +287,9 @@ class ReplayBuffer:
         self._rand_seen = 0
         self.seq: deque[tuple[int, Transition]] = deque(maxlen=self._cap["seq"] or 1)
         self._seq_cursor = 0
-        # The sequential partition indexed by project, kept with `seq`: each
-        # project's transitions oldest first, the projects in order of their
-        # newest one, and that order newest first (None when stale).
+        # `seq` indexed by project: each project's transitions oldest first,
+        # keyed in the order of the projects' latest inserts; and the projects
+        # newest first, rebuilt by the first sample after an insert.
         self._seq_by_project: dict[int, list[Transition]] = {}
         self._seq_newest_first: list[int] | None = None
 
