@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import numbers
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -14,7 +13,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .artifact import Artifact, read_artifact
-from .coldstart import RepresentativeTable, aggregate
+# `aggregate` is not called here; perfbench/layers.py wraps it under this module's name.
+from .coldstart import RepresentativeTable, aggregate, segment_sums  # noqa: F401
 from .data import RARE_THRESHOLD, InteractionDataset, PopularityTable, popularity
 from .embed import EmbeddingTable
 from .errors import DataError, NumericError
@@ -31,11 +31,39 @@ _BLOCK = 128
 
 @dataclass(eq=False)
 class Transition:
+    """A batch of transitions as row-aligned arrays: (B, d) states and next
+    states, B actions, B rewards and B terminal flags."""
+
     state: np.ndarray
-    action: int
-    reward: float
+    action: np.ndarray
+    reward: np.ndarray
     next_state: np.ndarray
-    terminal: bool
+    terminal: np.ndarray
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return self.state, self.action, self.reward, self.next_state, self.terminal
+
+    def __len__(self) -> int:
+        return len(self.action)
+
+    def __getitem__(self, rows) -> "Transition":
+        return Transition(*(a[rows] for a in self.arrays()))
+
+    @staticmethod
+    def concat(*batches: "Transition") -> "Transition":
+        """The rows of the nonempty batches in order, in new arrays; `_NO_ROWS` if there are none."""
+        arrays = [b.arrays() for b in batches if len(b)]
+        return Transition(*map(np.concatenate, zip(*arrays))) if arrays else _NO_ROWS
+
+
+# A partition before its first rows; never written in place, as `concat` leaves it out.
+_NO_ROWS = Transition(np.zeros((0, 0)), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros((0, 0)),
+                      np.zeros(0, dtype=bool))
+
+
+def _bad_ratios(mu) -> bool:
+    """Partition ratios that are not each in [0, 1] with sum 1."""
+    return not (all(0.0 <= x <= 1.0 for x in mu) and abs(sum(mu) - 1.0) <= 1e-9)
 
 
 @dataclass
@@ -54,15 +82,16 @@ class AgentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # NaN fails every range check: a comparison with it is False
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if abs(sum(self.mu) - 1.0) > 1e-9:
-            raise ValueError(f"partition ratios must sum to 1, got {self.mu}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        for name in ("batch_size", "hidden", "target_sync", "capacity", "transitions_per_project"):
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if _bad_ratios(self.mu):
+            raise ValueError(f"partition ratios must be in [0, 1] and sum to 1, got {self.mu}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        for name in ("epochs", "batch_size", "hidden", "target_sync", "capacity", "transitions_per_project"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -174,51 +203,51 @@ def load_qnetwork(path) -> QNetwork:
     return net
 
 
-def reward(state: np.ndarray, action: int, lib_table: np.ndarray) -> float:
-    """r = 1 + e_action . state; in [0, 2] for unit-norm source tables."""
-    return 1.0 + float(lib_table[action] @ state)
+def reward(state: np.ndarray, action, lib_table: np.ndarray):
+    """r = 1 + e_action . state, for one state or row by row for a batch;
+    in [0, 2] for unit-norm source tables."""
+    return 1.0 + (lib_table[action] * state).sum(axis=-1)
 
 
-def gen_transition(items, rep: RepresentativeTable, lib_table: np.ndarray, rng) -> Transition | None:
-    """Sample one transition from a project's historical library usage.
+def gen_transition(train: InteractionDataset, projects, copies: int, rep: RepresentativeTable,
+                   lib_table: np.ndarray, rng) -> tuple[Transition, np.ndarray]:
+    """One epoch's transitions from historical library usage: `copies` rows
+    for each of `projects` with at least two interactions, in that order,
+    and each row's project.
 
-    A nonempty proper subset forms the current state; the action is a
-    uniform pick from the remainder. Returns None when the project has
-    fewer than two interactions.
+    A row's state aggregates a nonempty proper subset of its project's
+    libraries, of a size k uniform in 1..n-1, and its action is a uniform
+    pick from the rest: random keys sorted inside the row's segment of
+    library indices give a uniform permutation whose first k entries are
+    the subset and whose entry k is the action.
     """
-    items = [int(i) for i in items]
-    n = len(items)
-    if n < 2:
-        return None
-    k = int(rng.integers(1, n))
-    subset_idx = rng.choice(n, size=k, replace=False)
-    known = [items[j] for j in subset_idx]
-    known_set = set(known)
-    rest = [i for i in items if i not in known_set]
-    action = int(rest[int(rng.integers(len(rest)))])
-    state = aggregate(known, rep)
-    next_state = aggregate(known + [action], rep)
-    return Transition(
-        state=state,
-        action=action,
-        reward=reward(state, action, lib_table),
-        next_state=next_state,
-        terminal=(k + 1 == n),
-    )
+    count = np.bincount(train.interactions[:, 0], minlength=train.n_projects)
+    projects = np.asarray(projects, dtype=np.int64)
+    owner = np.repeat(projects[count[projects] >= 2], copies)
+    n = count[owner]
+    k = rng.integers(1, n)
+    start = np.cumsum(n) - n  # each row's first entry
+    row = np.repeat(np.arange(len(owner)), n)
+    pos = np.arange(len(row)) - start[row]
+    libraries = np.concatenate(train.by_project)[(np.cumsum(count) - count)[owner][row] + pos]
+    perm = libraries[np.lexsort((rng.random(len(row)), row))]
+    known = pos < k[row]
+    action = perm[start + k]
+    total = segment_sums(row[known], perm[known], len(owner), rep)
+    state = total / k[:, None]
+    next_state = (total + rep.vectors[action]) / (k + 1)[:, None]
+    return Transition(state, action, reward(state, action, lib_table), next_state, k + 1 == n), owner
 
 
-def _q_targets(batch: list[Transition], online: QNetwork, target: QNetwork, gamma: float) -> np.ndarray:
-    rewards = np.array([t.reward for t in batch])
-    terminal = np.array([t.terminal for t in batch])
-    if terminal.all() or gamma == 0.0:
-        return rewards
-    nxt = np.stack([t.next_state for t in batch])
-    a_star = np.argmax(online.forward(nxt), axis=1)
-    q_next = target.forward(nxt)[np.arange(len(batch)), a_star]
-    return rewards + gamma * q_next * (~terminal)
+def _q_targets(batch: Transition, online: QNetwork, target: QNetwork, gamma: float) -> np.ndarray:
+    if batch.terminal.all() or gamma == 0.0:
+        return batch.reward
+    a_star = np.argmax(online.forward(batch.next_state), axis=1)
+    q_next = target.forward(batch.next_state)[np.arange(len(batch)), a_star]
+    return batch.reward + gamma * q_next * (~batch.terminal)
 
 
-def cql_loss(batch, online: QNetwork, target: QNetwork, alpha: float, gamma: float,
+def cql_loss(batch: Transition, online: QNetwork, target: QNetwork, alpha: float, gamma: float,
              weights: np.ndarray | None = None):
     """Conservative Q-learning loss with analytic gradients.
 
@@ -229,16 +258,13 @@ def cql_loss(batch, online: QNetwork, target: QNetwork, alpha: float, gamma: flo
     they realize the partition-weighted objective. Returns
     (loss, grads, regularizer per sample).
     """
-    if not batch:
-        raise DataError("cql_loss requires a nonempty batch")
     b = len(batch)
+    if not b:
+        raise DataError("cql_loss requires a nonempty batch")
     w = np.full(b, 1.0 / b) if weights is None else np.asarray(weights, dtype=np.float64)
     y = _q_targets(batch, online, target, gamma)
-    states = np.stack([t.state for t in batch])
-    actions = np.array([t.action for t in batch])
-
-    q, cache = online.forward_cached(states)
-    q_a = q[np.arange(b), actions]
+    q, cache = online.forward_cached(batch.state)
+    q_a = q[np.arange(b), batch.action]
     reg = logsumexp(q, axis=1) - q_a
     bellman = (y - q_a) ** 2
     loss = float(w @ (alpha * reg + 0.5 * bellman))
@@ -253,7 +279,7 @@ def cql_loss(batch, online: QNetwork, target: QNetwork, alpha: float, gamma: flo
     dq /= dq.sum(axis=1, keepdims=True)
     dq *= (alpha * w)[:, None]
     one_hot_scale = w * (alpha + (y - q_a))
-    dq[np.arange(b), actions] -= one_hot_scale
+    dq[np.arange(b), batch.action] -= one_hot_scale
     grads = online.backward(cache, dq)
     return loss, grads, reg
 
@@ -261,65 +287,58 @@ def cql_loss(batch, online: QNetwork, target: QNetwork, alpha: float, gamma: flo
 class ReplayBuffer:
     """Three-partition transition store with popularity-aware admission.
 
+    Each partition is a `Transition` batch that grows with its contents.
     The rare partition admits only transitions whose action popularity
-    rate is below the rare threshold (FIFO eviction). Every transition
-    is eligible for the random partition, kept as a uniform reservoir
-    sample. Fresh transitions also enter the sequential partition in
-    project arrival order, sampled with a Round-Robin cursor over
-    projects, freshest first.
+    rate is below the rare threshold and keeps the newest. Every
+    transition is eligible for the random partition, kept as a uniform
+    reservoir sample. Fresh transitions also enter the sequential
+    partition, which keeps the newest and their projects, and is sampled
+    with a Round-Robin cursor over projects, freshest first.
     """
 
     def __init__(self, capacity: int, mu: tuple[float, float, float],
                  pop: PopularityTable, rng=None):
-        if abs(sum(mu) - 1.0) > 1e-9:
-            raise DataError(f"partition ratios must sum to 1, got {mu}")
-        self.capacity = capacity
+        if _bad_ratios(mu):
+            raise DataError(f"partition ratios must be in [0, 1] and sum to 1, got {mu}")
         self.mu = tuple(mu)
         self.pop = pop
         self.rng = np.random.default_rng(rng)
-        self._cap = {
-            "rare": max(1, int(mu[0] * capacity)) if mu[0] > 0 else 0,
-            "rand": max(1, int(mu[1] * capacity)) if mu[1] > 0 else 0,
-            "seq": max(1, int(mu[2] * capacity)) if mu[2] > 0 else 0,
-        }
-        self.rare: deque[Transition] = deque(maxlen=self._cap["rare"] or 1)
-        self.rand: list[Transition] = []
+        self._cap = {name: max(1, int(x * capacity)) if x > 0 else 0 for name, x in zip(PARTITIONS, mu)}
+        self.rare = self.rand = self.seq = _NO_ROWS
         self._rand_seen = 0
-        self.seq: deque[tuple[int, Transition]] = deque(maxlen=self._cap["seq"] or 1)
+        self.seq_projects = np.zeros(0, dtype=np.int64)
+        # Per `seq` row: its depth in its project's rows, newest first, and its
+        # project's rank among the projects by latest insert; and their count.
+        self._seq_index = (self.seq_projects, self.seq_projects, 0)
         self._seq_cursor = 0
-        # `seq` indexed by project: each project's transitions oldest first,
-        # keyed in the order of the projects' latest inserts; and the projects
-        # newest first, rebuilt by the first sample after an insert.
-        self._seq_by_project: dict[int, list[Transition]] = {}
-        self._seq_newest_first: list[int] | None = None
 
-    def __len__(self) -> int:
-        return len(self.rare) + len(self.rand) + len(self.seq)
-
-    def insert(self, t: Transition, project: int = 0) -> None:
-        if self._cap["rare"] and self.pop.rates[t.action] < RARE_THRESHOLD:
-            self.rare.append(t)  # deque maxlen gives FIFO eviction
-        if self._cap["rand"]:
-            self._rand_seen += 1
-            if len(self.rand) < self._cap["rand"]:
-                self.rand.append(t)
-            else:
-                j = int(self.rng.integers(self._rand_seen))
-                if j < self._cap["rand"]:
-                    self.rand[j] = t
-        if self._cap["seq"]:
-            project = int(project)
-            per = self._seq_by_project
-            if len(self.seq) == self.seq.maxlen:  # the append below evicts the oldest
-                old = self.seq[0][0]
-                del per[old][0]
-                if not per[old]:
-                    del per[old]
-            self.seq.append((project, t))
-            queue = per.pop(project, [])
-            queue.append(t)
-            per[project] = queue
-            self._seq_newest_first = None
+    def insert(self, t: Transition, project=0) -> None:
+        """Add a batch; `project` is each row's project, or one for every row."""
+        if self._cap["rare"]:
+            rare = t[self.pop.rates[t.action] < RARE_THRESHOLD]
+            self.rare = Transition.concat(self.rare, rare)[-self._cap["rare"]:]
+        cap = self._cap["rand"]
+        if cap:
+            # Algorithm R over the batch: row j (of s seen) takes a uniform slot
+            # below s if that slot is below cap; a later row's write wins.
+            fill = min(max(cap - self._rand_seen, 0), len(t))
+            if fill:
+                self.rand = Transition.concat(self.rand, t[:fill])
+            slot = self.rng.integers(self._rand_seen + np.arange(fill + 1, len(t) + 1))
+            hit = np.flatnonzero(slot < cap)[::-1]
+            slots, latest = np.unique(slot[hit], return_index=True)
+            for part, new in zip(self.rand.arrays(), t[fill + hit[latest]].arrays()):
+                part[slots] = new
+            self._rand_seen += len(t)
+        cap = self._cap["seq"]
+        if cap:
+            self.seq = Transition.concat(self.seq, t)[-cap:]
+            self.seq_projects = np.concatenate([self.seq_projects, np.broadcast_to(project, len(t))])[-cap:]
+            newest = self.seq_projects[::-1]
+            _, first, which, size = np.unique(newest, return_index=True, return_inverse=True, return_counts=True)
+            # depth: a row's place in the rows stably grouped by project, less its group's start
+            depth = np.argsort(np.argsort(which, kind="stable")) - (np.cumsum(size) - size)[which]
+            self._seq_index = depth[::-1], np.argsort(np.argsort(first))[which][::-1], len(first)
 
     def _quotas(self, batch_size: int) -> dict[str, int]:
         q = {
@@ -341,63 +360,36 @@ class ReplayBuffer:
             q["rand"] = 0
         return q
 
-    def _sample_uniform(self, pool: list[Transition], k: int) -> list[Transition]:
-        replace = len(pool) < k
-        idx = self.rng.choice(len(pool), size=k, replace=replace)
-        return [pool[int(j)] for j in idx]
+    def _sample_seq(self, k: int) -> np.ndarray:
+        """`k` rows of `seq`: Round-Robin over projects, newest project first
+        from the cursor, each project's rows newest first, cycled when fewer
+        rows are stored than requested."""
+        depth, rank, p = self._seq_index
+        order = np.argsort(depth * p + (rank - self._seq_cursor) % p)
+        self._seq_cursor = (self._seq_cursor + k) % p
+        return np.resize(order, k)
 
-    def _sample_seq(self, k: int) -> list[Transition]:
-        """Round-Robin over projects, newest project first from the cursor,
-        each project's transitions newest first."""
-        per = self._seq_by_project
-        if self._seq_newest_first is None:
-            self._seq_newest_first = list(reversed(per))
-        order = self._seq_newest_first
-        start = self._seq_cursor % len(order)
-        rotation = order[start:] + order[:start]
-        picks: list[Transition] = []
-        depth = 0
-        while len(picks) < k:
-            advanced = False
-            for p in rotation:
-                if depth < len(per[p]):
-                    picks.append(per[p][-1 - depth])
-                    advanced = True
-                    if len(picks) == k:
-                        break
-            if not advanced:  # fewer stored than requested: cycle again
-                depth = -1
-            depth += 1
-        self._seq_cursor = (self._seq_cursor + k) % len(order)
-        return picks
-
-    def sample(self, batch_size: int) -> tuple[list[Transition], list[str]]:
+    def sample(self, batch_size: int) -> tuple[Transition, list[str]]:
         """Partition-tagged batch honoring the ratio quotas."""
         quotas = self._quotas(batch_size)
-        batch: list[Transition] = []
-        tags: list[str] = []
-        if quotas["rare"]:
-            batch.extend(self._sample_uniform(list(self.rare), quotas["rare"]))
-            tags.extend(["rare"] * quotas["rare"])
-        if quotas["rand"]:
-            batch.extend(self._sample_uniform(self.rand, quotas["rand"]))
-            tags.extend(["rand"] * quotas["rand"])
-        if quotas["seq"]:
-            batch.extend(self._sample_seq(quotas["seq"]))
-            tags.extend(["seq"] * quotas["seq"])
-        return batch, tags
+        parts = []
+        for name in PARTITIONS:
+            k, pool = quotas[name], getattr(self, name)
+            if k and name == "seq":
+                parts.append(pool[self._sample_seq(k)])
+            elif k:
+                parts.append(pool[self.rng.choice(len(pool), size=k, replace=len(pool) < k)])
+        tags = np.repeat(PARTITIONS, [quotas[name] for name in PARTITIONS]).tolist()
+        return Transition.concat(*parts), tags
 
 
 def partition_weights(tags: list[str], mu: tuple[float, float, float]) -> np.ndarray:
     """Per-sample weights realizing sum_x mu_x * mean over sub-batch x,
     renormalized over the partitions actually present."""
-    mu_map = dict(zip(PARTITIONS, mu))
-    counts: dict[str, int] = {}
-    for tag in tags:
-        counts[tag] = counts.get(tag, 0) + 1
-    present_mu = sum(mu_map[t] for t in counts)
-    w = np.array([mu_map[t] / (counts[t] * present_mu) for t in tags])
-    return w
+    code = np.argmax(np.asarray(tags)[:, None] == np.array(PARTITIONS), axis=1)
+    counts = np.bincount(code, minlength=len(PARTITIONS))
+    mu = np.asarray(mu, dtype=np.float64)
+    return mu[code] / (counts[code] * mu[counts > 0].sum())
 
 
 @dataclass(eq=False)
@@ -417,9 +409,9 @@ def train_agent(train: InteractionDataset, table: EmbeddingTable, rep: Represent
                 cfg: AgentConfig) -> tuple[QNetwork, AgentStats]:
     """Offline CQL training over transitions generated from historical usage.
 
-    Each epoch makes a full pass over the training projects, generating
-    fresh transitions, then runs gradient steps on partition-weighted
-    replay batches with a cosine-annealed learning rate.
+    Each epoch generates fresh transitions for every training project in
+    one batch, then runs gradient steps on partition-weighted replay
+    batches with a cosine-annealed learning rate.
     """
     rng = np.random.default_rng(cfg.seed)
     pop = popularity(train)
@@ -438,11 +430,7 @@ def train_agent(train: InteractionDataset, table: EmbeddingTable, rep: Represent
 
     step = 0
     for epoch in range(cfg.epochs):
-        for u in eligible:
-            for _ in range(cfg.transitions_per_project):
-                t = gen_transition(train.by_project[u], rep, table.libraries, rng)
-                if t is not None:
-                    buf.insert(t, project=u)
+        buf.insert(*gen_transition(train, eligible, cfg.transitions_per_project, rep, table.libraries, rng))
         for _ in range(steps_per_epoch):
             batch, tags = buf.sample(cfg.batch_size)
             w = partition_weights(tags, cfg.mu)
@@ -456,7 +444,7 @@ def train_agent(train: InteractionDataset, table: EmbeddingTable, rep: Represent
             if step % cfg.target_sync == 0:
                 target.load_params(net.params)
             if step % 10 == 0 or step == 1:
-                mean_q = float(net.forward(np.stack([t.state for t in batch[:16]])).mean())
+                mean_q = float(net.forward(batch.state[:16]).mean())
                 stats.log.append((epoch, step, loss, opt.lr, mean_q))
     return net, stats
 
@@ -498,21 +486,16 @@ def _answer_block(queries: list[list[int]], k: int, net: QNetwork, rep: Represen
     count = np.array([len(q) for q in queries])
     rows = np.repeat(np.arange(b), count)
     cols = np.fromiter(chain.from_iterable(queries), dtype=np.int64, count=len(rows))
-    missing = ~rep.has_rep[cols]
-    if missing.any():
-        query = queries[rows[np.argmax(missing)]]
-        raise DataError(f"libraries without representatives: {[i for i in query if not rep.has_rep[i]][:5]}")
+    # The state is total / count: `aggregate` divides this same row sum (see
+    # `segment_sums`), so adding each pick's row keeps every state bitwise
+    # equal to aggregate(known).
+    total = segment_sums(rows, cols, b, rep)
     allowed = np.repeat(rep.has_rep[None, :], b, axis=0)
     allowed[rows, cols] = False
     available = allowed.sum(axis=1)
     for n in available[available < k].tolist():
         warnings.warn(f"only {n} recommendable libraries for k={k}; truncating")
     take = np.minimum(available, k)
-    # The state is total / count: `aggregate` divides this same row sum, and
-    # NumPy sums axis 0 row by row (for d >= 2; one column is summed
-    # pairwise), so adding each pick's row keeps every state bitwise equal
-    # to aggregate(known).
-    total = np.stack([rep.vectors[q].sum(axis=0) for q in queries])
 
     picks: list[list[tuple[int, float]]] = [[] for _ in range(b)]
     if mode == "one-shot":

@@ -51,7 +51,9 @@ class RepresentativeTable:
         model_id, (_, vectors, blend, mask) = read_artifact(path, _MAGIC_REP, lambda n, m, d: [
             ((n, d), "<f4"), ((m, d), "<f4"), ((1,), "<f4"), ((m,), np.uint8),
         ])
-        return cls(vectors=vectors.astype(np.float64), blend=float(blend[0]), has_rep=mask.astype(bool),
+        if (mask > 1).any():
+            raise DataError(f"{path}: availability mask byte {int(mask.max())} is neither 0 nor 1")
+        return cls(vectors=vectors.astype(np.float64), blend=float(blend[0]), has_rep=mask == 1,
                    model_id=model_id)
 
 
@@ -87,3 +89,17 @@ def aggregate(libraries, rep: RepresentativeTable) -> np.ndarray:
     if missing:
         raise DataError(f"libraries without representatives: {missing[:5]}")
     return rep.vectors[idx].mean(axis=0)
+
+
+def segment_sums(rows: np.ndarray, libraries: np.ndarray, n_rows: int, rep: RepresentativeTable) -> np.ndarray:
+    """(n_rows, d) sums of the representatives of `libraries`, each added to
+    its entry of `rows` in order. For d >= 2 a row is bitwise the
+    `rep.vectors[q].sum(axis=0)` that `aggregate` divides: NumPy sums axis 0
+    row by row (one column it sums pairwise). Raises DataError if a library
+    has no representative."""
+    missing = ~rep.has_rep[libraries]
+    if missing.any():
+        raise DataError(f"libraries without representatives: {np.unique(libraries[missing])[:5].tolist()}")
+    total = np.zeros((n_rows, rep.dim))
+    np.add.at(total, rows, rep.vectors[libraries])
+    return total

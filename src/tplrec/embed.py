@@ -40,8 +40,9 @@ class EmbedConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        # NaN fails every range check: a comparison with it is False
+        if not 0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
         if self.patience < 1:
@@ -49,10 +50,10 @@ class EmbedConfig:
         if self.layers < 0:
             raise ValueError(f"layers must be >= 0, got {self.layers}")
         for name in ("dim", "batch_size", "negatives", "max_epochs", "learning_rate", "init_scale"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.l2 < 0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not 0 <= self.l2 < np.inf:
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
 

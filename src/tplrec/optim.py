@@ -5,38 +5,36 @@ import math
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
     """Adaptive moment estimation over a dict of named parameter arrays."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for name, p in params.items():
             g = grads[name]
             m = self._m.setdefault(name, np.zeros_like(p))
             v = self._v.setdefault(name, np.zeros_like(p))
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
-def cosine_annealed_lr(base_lr: float, step: int, total_steps: int, min_lr: float = 0.0) -> float:
-    """Cosine decay from base_lr to min_lr over total_steps."""
-    if total_steps <= 0:
-        return base_lr
+def cosine_annealed_lr(base_lr: float, step: int, total_steps: int) -> float:
+    """Cosine decay from base_lr to 0 over total_steps >= 1."""
     frac = min(max(step, 0), total_steps) / total_steps
-    return min_lr + 0.5 * (base_lr - min_lr) * (1.0 + math.cos(math.pi * frac))
+    return 0.5 * base_lr * (1.0 + math.cos(math.pi * frac))

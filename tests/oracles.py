@@ -206,8 +206,9 @@ def q_backward(net, cache, dq):
 
 
 def cql_loss_expr(batch, online, target, alpha, gamma, weights=None):
-    """The CQL loss, gradients and regularizer from the oracle forward and
-    backward, with d loss / d Q as alpha * w * softmax(q) over fresh arrays."""
+    """The CQL loss, gradients and regularizer of a Transition batch from the
+    oracle forward and backward, with d loss / d Q as alpha * w * softmax(q)
+    over fresh arrays."""
     from scipy.special import logsumexp, softmax
 
     from tplrec.agent import _q_targets
@@ -215,9 +216,8 @@ def cql_loss_expr(batch, online, target, alpha, gamma, weights=None):
     b = len(batch)
     w = np.full(b, 1.0 / b) if weights is None else np.asarray(weights, dtype=np.float64)
     y = _q_targets(batch, online, target, gamma)
-    states = np.stack([t.state for t in batch])
-    actions = np.array([t.action for t in batch])
-    q, cache = q_forward_cached(online, states)
+    actions = batch.action
+    q, cache = q_forward_cached(online, batch.state)
     q_a = q[np.arange(b), actions]
     reg = logsumexp(q, axis=1) - q_a
     loss = float(w @ (alpha * reg + 0.5 * (y - q_a) ** 2))
@@ -227,7 +227,7 @@ def cql_loss_expr(batch, online, target, alpha, gamma, weights=None):
 
 
 def sample_seq_rebuild(entries, cursor, k):
-    """Sequential-partition picks rebuilt from the (project, transition)
+    """Sequential-partition picks rebuilt from the (project, row value)
     entries in arrival order: projects newest first, rotated to the
     cursor, then Round-Robin by depth, each project's transitions newest
     first. Returns the picks and the advanced cursor."""

@@ -18,7 +18,6 @@ from tplrec.agent import (
     ReplayBuffer,
     Transition,
     cql_loss,
-    gen_transition,
     reward,
     train_agent,
 )
@@ -126,9 +125,9 @@ def test_gradient_checks(capsys):
 
     net = QNetwork(4, 6, hidden=16, rng=2)
     target = QNetwork(4, 6, hidden=16, rng=3)
-    batch = [Transition(rng.normal(size=4), int(rng.integers(6)),
-                        float(rng.uniform(0, 2)), rng.normal(size=4),
-                        bool(rng.integers(2))) for _ in range(8)]
+    rows = [(rng.normal(size=4), int(rng.integers(6)), float(rng.uniform(0, 2)),
+             rng.normal(size=4), bool(rng.integers(2))) for _ in range(8)]
+    batch = Transition(*map(np.array, zip(*rows)))
     eps = 1e-6
     _, grads, _ = cql_loss(batch, net, target, 5.5, 0.9)
     for name, par in net.params.items():
@@ -220,14 +219,14 @@ def test_buffer_properties(capsys):
     hot_i = ds.libraries.index("hot")
 
     def trans(a):
-        return Transition(np.zeros(1), a, 1.0, np.zeros(1), True)
+        return Transition(np.zeros((1, 1)), np.array([a]), np.ones(1), np.zeros((1, 1)), np.ones(1, dtype=bool))
 
     buf = ReplayBuffer(100, (0.2, 0.5, 0.3), pop, rng=0)
     rng = np.random.default_rng(7)
     purity = True
     for _ in range(300):
         buf.insert(trans(int(rng.choice([rare_i, mid_i, hot_i]))), project=int(rng.integers(5)))
-        purity &= all(pop.rates[t.action] < 0.1 for t in buf.rare)
+        purity &= bool(np.all(pop.rates[buf.rare.action] < 0.1))
     _, tags = buf.sample(10)
     composition = (tags.count("rare"), tags.count("rand"), tags.count("seq"))
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -37,14 +38,14 @@ def unit_rows(rng, n, d):
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
-def make_transition(rng, d, m, terminal=False):
-    return Transition(
-        state=rng.normal(size=d),
-        action=int(rng.integers(m)),
-        reward=float(rng.uniform(0, 2)),
-        next_state=rng.normal(size=d),
-        terminal=terminal,
-    )
+def make_row(rng, d, m, terminal=False):
+    """One (state, action, reward, next_state, terminal) row."""
+    return rng.normal(size=d), int(rng.integers(m)), float(rng.uniform(0, 2)), rng.normal(size=d), terminal
+
+
+def stack(rows):
+    """The Transition batch of the given rows, in order."""
+    return Transition(*map(np.array, zip(*rows)))
 
 
 class TestQNetwork:
@@ -119,9 +120,8 @@ class TestInPlaceKernels:
     def test_cql_loss_equals_oracle(self, seed, b, d, m, hidden, scale, alpha, gamma, weighted):
         rng = np.random.default_rng(seed)
         net, target = self.make_net(rng, d, m, hidden), self.make_net(rng, d, m, hidden)
-        batch = [make_transition(rng, d, m, terminal=bool(rng.integers(2))) for _ in range(b)]
-        for t in batch:
-            t.state *= scale
+        batch = stack([make_row(rng, d, m, terminal=bool(rng.integers(2))) for _ in range(b)])
+        batch.state *= scale
         w = rng.random(b) if weighted else None
         if weighted:
             w /= w.sum()
@@ -167,35 +167,58 @@ class TestReward:
 class TestGenTransition:
     def setup_method(self):
         rng = np.random.default_rng(6)
-        lines = [f"p{u}\tl{i}" for u in range(5) for i in range(5)]
+        # p0-p4 use all five libraries, p5 uses l0 and l1, p6 only l3
+        lines = [f"p{u}\tl{i}" for u in range(5) for i in range(5)] + ["p5\tl0", "p5\tl1", "p6\tl3"]
         self.ds = ingest(lines)
-        self.table = EmbeddingTable(unit_rows(rng, 5, 3), unit_rows(rng, 5, 3))
+        self.table = EmbeddingTable(unit_rows(rng, 7, 3), unit_rows(rng, 5, 3))
         self.rep = build_representatives(self.table, self.ds, 0.5)
+
+    def gen(self, projects, copies, rng):
+        return gen_transition(self.ds, projects, copies, self.rep, self.table.libraries, rng)
 
     def test_action_outside_subset(self):
         rng = np.random.default_rng(7)
         items = list(range(5))
-        for _ in range(100):
-            t = gen_transition(items, self.rep, self.table.libraries, rng)
-            assert t.action in items
-            # next state is the known set plus the action; verify via reward identity
-            assert 0.0 <= t.reward <= 2.0
+        t, _ = self.gen([0], 100, rng)
+        assert len(t) == 100
+        assert set(t.action.tolist()) <= set(items)
+        # next state is the known set plus the action; verify via reward identity
+        assert np.all((0.0 <= t.reward) & (t.reward <= 2.0))
 
     def test_terminal_iff_covers_all(self):
         rng = np.random.default_rng(8)
-        items = [0, 1]
-        for _ in range(20):
-            t = gen_transition(items, self.rep, self.table.libraries, rng)
-            # with two items the subset has one, the action is the other: always terminal
-            assert t.terminal
+        t, _ = self.gen([5], 20, rng)
+        # with two items the subset has one, the action is the other: always terminal
+        assert len(t) == 20 and t.terminal.all()
 
-    def test_too_small_returns_none(self):
+    def test_too_small_yields_no_rows(self):
         rng = np.random.default_rng(9)
-        assert gen_transition([3], self.rep, self.table.libraries, rng) is None
+        t, owner = self.gen([6], 3, rng)
+        assert len(t) == 0 and len(owner) == 0
+
+    def test_library_without_representative_rejected(self):
+        rep = RepresentativeTable(self.rep.vectors, 0.5, np.array([True, True, True, False, True]))
+        with pytest.raises(DataError, match=r"without representatives: \[3\]"):
+            gen_transition(self.ds, [0], 2, rep, self.table.libraries, np.random.default_rng(0))
+
+    def test_rows_are_aggregates_of_their_subsets(self):
+        # every row: a nonempty proper subset S of its project's libraries and
+        # an action outside it, with state aggregate(S), next state
+        # aggregate(S + action), reward(state, action), terminal iff |S| + 1 = n
+        rng = np.random.default_rng(11)
+        t, owner = self.gen(np.arange(7)[::-1], 6, rng)
+        assert owner.tolist() == [u for u in range(5, -1, -1) for _ in range(6)]
+        for r, u in enumerate(owner.tolist()):
+            items = self.ds.by_project[u].tolist()
+            a = int(t.action[r])
+            found = [s for k in range(1, len(items)) for s in combinations(items, k) if a not in s
+                     and np.abs(aggregate(s, self.rep) - t.state[r]).max() <= 1e-12
+                     and np.abs(aggregate(s + (a,), self.rep) - t.next_state[r]).max() <= 1e-12]
+            assert len(found) == 1
+            assert bool(t.terminal[r]) == (len(found[0]) + 1 == len(items))
+            assert t.reward[r] == reward(t.state[r], a, self.table.libraries)
 
     def test_all_subset_size_action_pairs_reachable(self):
-        from itertools import combinations
-
         rng = np.random.default_rng(10)
         items = list(range(5))
         # identify the sampled subset by matching the state against the
@@ -206,32 +229,32 @@ class TestGenTransition:
                 key = tuple(np.round(aggregate(list(combo), self.rep), 9))
                 lookup[key] = k
         combos = set()
-        for _ in range(10_000):
-            t = gen_transition(items, self.rep, self.table.libraries, rng)
-            k = lookup[tuple(np.round(t.state, 9))]
-            combos.add((k, t.action))
+        t, _ = self.gen([0], 10_000, rng)
+        for state, action in zip(t.state, t.action.tolist()):
+            combos.add((lookup[tuple(np.round(state, 9))], action))
         assert combos == {(k, a) for k in range(1, 5) for a in items}
 
 
 class TestQTarget:
     def test_terminal_is_reward(self):
         net = QNetwork(3, 4, hidden=8, rng=0)
-        t = Transition(np.zeros(3), 1, 1.7, np.zeros(3), True)
-        assert _q_targets([t], net, net.clone(), 0.9)[0] == pytest.approx(1.7)
+        t = stack([(np.zeros(3), 1, 1.7, np.zeros(3), True)])
+        assert _q_targets(t, net, net.clone(), 0.9)[0] == pytest.approx(1.7)
 
     def test_double_dqn_uses_target_values(self):
         # online picks the argmax action, target supplies its value
         online = QNetwork(2, 3, hidden=4, rng=1)
         target = QNetwork(2, 3, hidden=4, rng=2)
-        t = Transition(np.ones(2), 0, 1.0, np.array([0.3, -0.2]), False)
-        a_star = int(np.argmax(online.forward(t.next_state)[0]))
-        want = 1.0 + 0.9 * float(target.forward(t.next_state)[0, a_star])
-        assert _q_targets([t], online, target, 0.9)[0] == pytest.approx(want)
+        s_next = np.array([0.3, -0.2])
+        t = stack([(np.ones(2), 0, 1.0, s_next, False)])
+        a_star = int(np.argmax(online.forward(s_next)[0]))
+        want = 1.0 + 0.9 * float(target.forward(s_next)[0, a_star])
+        assert _q_targets(t, online, target, 0.9)[0] == pytest.approx(want)
 
     def test_gamma_zero_is_reward(self):
         online = QNetwork(2, 3, hidden=4, rng=3)
-        t = Transition(np.ones(2), 0, 0.8, np.ones(2), False)
-        assert _q_targets([t], online, online.clone(), 0.0)[0] == pytest.approx(0.8)
+        t = stack([(np.ones(2), 0, 0.8, np.ones(2), False)])
+        assert _q_targets(t, online, online.clone(), 0.0)[0] == pytest.approx(0.8)
 
     def test_gamma_one_hand_value(self):
         # r=1 and the online-argmax action has target value 0.5 -> y = 1.5
@@ -241,13 +264,13 @@ class TestQTarget:
         a_star = int(np.argmax(online.forward(s_next)[0]))
         shift = 0.5 - float(target.forward(s_next)[0, a_star])
         target.params["bv"][0] += shift  # move V so Q(s', a*) is exactly 0.5
-        t = Transition(np.ones(2), 0, 1.0, s_next, False)
-        assert _q_targets([t], online, target, 1.0)[0] == pytest.approx(1.5)
+        t = stack([(np.ones(2), 0, 1.0, s_next, False)])
+        assert _q_targets(t, online, target, 1.0)[0] == pytest.approx(1.5)
 
 
 class TestCQLLoss:
     def make_batch(self, rng, b, d, m):
-        return [make_transition(rng, d, m, terminal=bool(rng.integers(2))) for _ in range(b)]
+        return stack([make_row(rng, d, m, terminal=bool(rng.integers(2))) for _ in range(b)])
 
     def test_alpha_zero_is_pure_bellman(self):
         rng = np.random.default_rng(10)
@@ -255,8 +278,8 @@ class TestCQLLoss:
         target = net.clone()
         batch = self.make_batch(rng, 6, 3, 5)
         loss, _, reg = cql_loss(batch, net, target, 0.0, 0.9)
-        q = net.forward(np.stack([t.state for t in batch]))
-        q_a = q[np.arange(6), [t.action for t in batch]]
+        q = net.forward(batch.state)
+        q_a = q[np.arange(6), batch.action]
         y = _q_targets(batch, net, target, 0.9)
         assert loss == pytest.approx(float(np.mean(0.5 * (y - q_a) ** 2)))
         assert np.all(reg >= -1e-12)
@@ -266,7 +289,7 @@ class TestCQLLoss:
         net = QNetwork(3, 7, hidden=8, rng=12)
         for p in net.params.values():
             p[...] = 0.0
-        batch = [Transition(np.ones(3), 2, 1.0, np.ones(3), True)]
+        batch = stack([(np.ones(3), 2, 1.0, np.ones(3), True)])
         _, _, reg = cql_loss(batch, net, net.clone(), 5.5, 0.9)
         assert reg[0] == pytest.approx(math.log(7), abs=1e-12)
 
@@ -305,7 +328,7 @@ class TestCQLLoss:
     def test_empty_batch_rejected(self):
         net = QNetwork(2, 2, hidden=4, rng=0)
         with pytest.raises(DataError):
-            cql_loss([], net, net.clone(), 5.5, 0.9)
+            cql_loss(stack([(np.ones(2), 0, 1.0, np.ones(2), True)])[:0], net, net.clone(), 5.5, 0.9)
 
 
 def pop_with_rates(rates):
@@ -326,7 +349,12 @@ class TestReplayBuffer:
         return ReplayBuffer(capacity, mu, pop, rng=seed), pop
 
     def trans(self, action, tag=0.0):
-        return Transition(np.array([tag]), action, 1.0, np.array([tag]), True)
+        return stack([(np.array([tag]), action, 1.0, np.array([tag]), True)])
+
+    def stream(self, tags, actions):
+        """The batch of one row per tag, its state and next state the tag."""
+        return stack([(np.array([float(g)]), int(a), 1.0, np.array([float(g)]), True)
+                      for g, a in zip(tags, actions)])
 
     def test_rare_partition_purity(self):
         buf, pop = self.make_buffer()
@@ -334,14 +362,13 @@ class TestReplayBuffer:
         for _ in range(200):
             buf.insert(self.trans(int(rng.integers(3))))
         assert len(buf.rare) > 0
-        for t in buf.rare:
-            assert pop.rates[t.action] < 0.1
+        assert np.all(pop.rates[buf.rare.action] < 0.1)
 
     def test_rare_fifo_eviction(self):
         buf, _ = self.make_buffer(capacity=10)  # rare cap = 2
         for tag in range(5):
             buf.insert(self.trans(0, tag=float(tag)))
-        kept = [t.state[0] for t in buf.rare]
+        kept = buf.rare.state[:, 0].tolist()
         assert kept == [3.0, 4.0]
 
     def test_quota_two_five_three(self):
@@ -375,11 +402,47 @@ class TestReplayBuffer:
             buf = ReplayBuffer(5, (0.0, 1.0, 0.0), pop, rng=s)
             for tag in range(50):
                 buf.insert(self.trans(0, tag=float(tag)))
-            for t in buf.rand:
-                counts[int(t.state[0])] += 1
+            counts[buf.rand.state[:, 0].astype(int)] += 1
         expected = np.full(50, trials * 5 / 50)
         _, p = spstats.chisquare(counts, expected)
         assert p > 0.01
+
+    def test_reservoir_is_uniform_with_batched_inserts(self):
+        # the same chi-square, the 50 items streamed in batches of random sizes
+        pop = pop_with_rates([0.5])
+        counts = np.zeros(50)
+        trials = 2000
+        cuts = np.random.default_rng(3)
+        for s in range(trials):
+            buf = ReplayBuffer(5, (0.0, 1.0, 0.0), pop, rng=s)
+            bounds = [0, *np.sort(cuts.choice(np.arange(1, 50), size=int(cuts.integers(1, 8)), replace=False)), 50]
+            for lo, hi in zip(bounds, bounds[1:]):
+                buf.insert(self.stream(range(lo, hi), [0] * (hi - lo)))
+            counts[buf.rand.state[:, 0].astype(int)] += 1
+        expected = np.full(50, trials * 5 / 50)
+        _, p = spstats.chisquare(counts, expected)
+        assert p > 0.01
+
+    @given(seed=st.integers(0, 10_000), capacity=st.integers(1, 40), rows=st.integers(1, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_split_inserts_keep_rare_and_seq(self, seed, capacity, rows):
+        # one stream inserted whole, or split into batches, leaves the same
+        # rare and seq contents, and the same seq picks
+        rng = np.random.default_rng(seed)
+        batch = self.stream(range(rows), rng.integers(3, size=rows))
+        projects = rng.integers(5, size=rows)
+        whole, _ = self.make_buffer(capacity=capacity, seed=seed)
+        whole.insert(batch, projects)
+        split, _ = self.make_buffer(capacity=capacity, seed=seed)
+        bounds = [0, *np.sort(rng.choice(np.arange(1, rows + 1), size=int(rng.integers(0, rows + 1)))), rows]
+        for lo, hi in zip(bounds, bounds[1:]):
+            split.insert(batch[lo:hi], projects[lo:hi])
+        for name in ("rare", "seq"):
+            a, b = getattr(whole, name), getattr(split, name)
+            assert all(np.array_equal(x, y) for x, y in zip(a.arrays(), b.arrays()))
+        assert np.array_equal(whole.seq_projects, split.seq_projects)
+        for k in rng.integers(1, 12, size=4).tolist():
+            assert np.array_equal(whole._sample_seq(k), split._sample_seq(k))
 
     def test_seq_samples_freshest_first(self):
         buf, _ = self.make_buffer(mu=(0.0, 0.0, 1.0), capacity=100)
@@ -388,7 +451,7 @@ class TestReplayBuffer:
         batch, tags = buf.sample(2)
         assert tags == ["seq", "seq"]
         # one pick per project, newest stored transition of each
-        got = sorted(t.state[0] for t in batch)
+        got = sorted(batch.state[:, 0].tolist())
         assert got == [4.0, 5.0]
 
     def test_seq_round_robin_cursor_advances(self):
@@ -397,12 +460,12 @@ class TestReplayBuffer:
             buf.insert(self.trans(1, tag=float(tag)), project=tag)
         first, _ = buf.sample(1)
         second, _ = buf.sample(1)
-        assert first[0].state[0] != second[0].state[0]
+        assert first.state[0, 0] != second.state[0, 0]
 
 
 class TestSeqReplayIndex:
-    """The sequential partition is indexed on insert and eviction; its
-    picks and cursor must be the full rebuild's (tests/oracles.py)."""
+    """The sequential partition is sampled by one sort key over its rows; its
+    picks and cursor must be the per-project rebuild's (tests/oracles.py)."""
 
     @given(seed=st.integers(0, 10_000), capacity=st.integers(1, 30), projects=st.integers(1, 8),
            steps=st.integers(1, 150))
@@ -413,23 +476,24 @@ class TestSeqReplayIndex:
         inserted = 0
         for _ in range(steps):
             if not len(buf.seq) or rng.random() < 0.6:
-                buf.insert(Transition(np.array([float(inserted)]), 0, 1.0, np.zeros(1), True),
+                buf.insert(stack([(np.array([float(inserted)]), 0, 1.0, np.zeros(1), True)]),
                            project=int(rng.integers(projects)))
                 inserted += 1
                 continue
             k = int(rng.integers(1, 2 * projects + 3))
-            expected, cursor = sample_seq_rebuild(list(buf.seq), buf._seq_cursor, k)
-            picks = buf._sample_seq(k)
-            assert len(picks) == len(expected) and all(a is b for a, b in zip(picks, expected))
+            entries = list(zip(buf.seq_projects.tolist(), buf.seq.state[:, 0].tolist()))
+            expected, cursor = sample_seq_rebuild(entries, buf._seq_cursor, k)
+            picks = buf.seq.state[buf._sample_seq(k), 0].tolist()
+            assert picks == expected
             assert buf._seq_cursor == cursor
         assert len(buf.seq) == min(inserted, capacity)
 
     def test_eviction_drops_a_project_whose_last_transition_leaves(self):
         buf = ReplayBuffer(2, (0.0, 0.0, 1.0), pop_with_rates([0.5]), rng=0)
         for tag, project in enumerate([7, 8, 8]):
-            buf.insert(Transition(np.array([float(tag)]), 0, 1.0, np.zeros(1), True), project=project)
-        picks = buf._sample_seq(3)
-        assert [t.state[0] for t in picks] == [2.0, 1.0, 2.0]
+            buf.insert(stack([(np.array([float(tag)]), 0, 1.0, np.zeros(1), True)]), project=project)
+        picks = buf.seq.state[buf._sample_seq(3), 0]
+        assert picks.tolist() == [2.0, 1.0, 2.0]
 
 
 class TestPartitionWeights:
@@ -666,6 +730,10 @@ class TestTrainAgent:
             AgentConfig(gamma=1.5)
         with pytest.raises(ValueError):
             AgentConfig(alpha=-1.0)
+        for bad in ({"mu": (-0.5, 1.0, 0.5)}, {"mu": (math.nan, 0.5, 0.5)}, {"alpha": math.nan},
+                    {"learning_rate": math.inf}, {"epochs": 0}):
+            with pytest.raises(ValueError):
+                AgentConfig(**bad)
 
 
 class TestQNetworkPersistence:

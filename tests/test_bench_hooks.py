@@ -3,6 +3,7 @@
 breaks one of its sites, or a type change that breaks a metric, fails here."""
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import tplrec
@@ -56,6 +57,14 @@ def test_traced_run_derives_every_per_layer_metric(tmp_path, capsys):
         assert tplrec.cli.main(["recommend", "--model-dir", str(tmp_path / "model"), "--query", query]) == 0
     finally:
         tracer.uninstall()
+    # each agent training (2 epochs): one generation pass per epoch, one
+    # replay sample per gradient step
+    calls = Counter((s[4], s[1]) for s in tracer.spans)
+    trained = [s[0] for s in tracer.spans if s[1] == "agent.train_agent"]
+    assert len(trained) > 1
+    for run in trained:
+        assert calls[run, "agent.gen_transition"] == 2
+        assert calls[run, "agent.ReplayBuffer.sample"] == calls[run, "optim.Adam.step"] > 0
     metrics = layers.derive(tracer, 1)
     assert set(metrics) == {name for name, *_ in spec.PER_LAYER} - {"trace.overhead_pct"}
     assert all(math.isfinite(v) for v in metrics.values()), metrics

@@ -99,6 +99,28 @@ class TestBadValues:
         assert not (tmp_path / "out").exists()
 
 
+# Values that once got past the config checks: a traceback in training
+# (negative or NaN ratio), a numeric failure (NaN alpha or l2), or an
+# untrained Q-network written with exit 0 (no epoch).
+OUT_OF_RANGE = [
+    ["--mu_rare", "-0.5", "--mu_rand", "1.0", "--mu_seq", "0.5"],
+    ["--mu_rare", "nan"],
+    ["--alpha", "nan"],
+    ["--l2", "nan"],
+    ["--agent_epochs", "0"],
+]
+
+
+@pytest.mark.parametrize("overrides", OUT_OF_RANGE, ids=" ".join)
+def test_out_of_range_config_is_one_usage_line(dataset_file, tmp_path, capsys, overrides):
+    path, _ = dataset_file
+    argv = ["train", "--dataset", str(path), "--output", str(tmp_path / "out"), *FAST_TRAIN, *overrides]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: bad configuration:"), err
+    assert not (tmp_path / "out").exists()
+
+
 class TestExitCodes:
     def test_no_command_is_usage(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -275,6 +297,18 @@ class TestTrainRecommend:
         query = ds.libraries[ds.by_project[0][0]]
         self.assert_one_data_error(["recommend", "--model-dir", str(a), "--query", query], capsys,
                                    "model id", "representatives.tplr")
+
+    def test_corrupt_availability_mask_is_data_error(self, dataset_file, tmp_path, capsys):
+        path, ds = dataset_file
+        out = tmp_path / "model"
+        assert self.run_train(path, out) == EXIT_OK
+        rep = out / "representatives.tplr"
+        raw = bytearray(rep.read_bytes())
+        raw[-1] = 7  # the last library's availability byte
+        rep.write_bytes(bytes(raw))
+        query = ds.libraries[ds.by_project[0][0]]
+        self.assert_one_data_error(["recommend", "--model-dir", str(out), "--query", query], capsys,
+                                   "mask byte 7", "representatives.tplr")
 
     def test_version_one_model_is_data_error(self, dataset_file, tmp_path, capsys):
         path, ds = dataset_file

@@ -178,6 +178,16 @@ class TestPersistence:
         assert loaded.blend == pytest.approx(0.25)
         assert np.array_equal(loaded.has_rep, rep.has_rep)
 
+    def test_mask_byte_other_than_zero_or_one_rejected(self, tmp_path):
+        rep = RepresentativeTable(np.ones((3, 2)), 0.5, np.array([True, False, True]))
+        path = tmp_path / "rep.tplr"
+        rep.save(path)
+        raw = bytearray(path.read_bytes())
+        raw[-2] = 7  # the mask is the last byte per library: library 1's
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="mask byte 7"):
+            RepresentativeTable.load(path)
+
     def test_magic(self, tmp_path):
         rep = RepresentativeTable(np.zeros((2, 2)), 0.5, np.array([True, True]))
         path = tmp_path / "rep.tplr"
