@@ -31,14 +31,13 @@ print(f"rare libraries (rate < 0.1): {sum(pop.is_rare(i) for i in range(ds.n_lib
 folds = split_users(ds, fold_count=5, seed=0)
 print(f"\n5 user folds, test sizes: {[len(f.test_projects) for f in folds]}")
 
-# a cold-start project reveals only part of its interaction list
+# a cold-start project reveals only part of its interaction list; both
+# splits keep round-half-up(fraction * n), at least 1 and at most n - 1
 items = ds.by_project[0]
 query, test = split_query_test(items, 0.3, seed_or_rng=0)
 print(f"project 0 has {len(items)} interactions; "
       f"query reveals {len(query)}, ground truth holds {len(test)}")
 
-# interaction-split keeps every project in training
-train, test = split_interactions(ds, 0.7, seed=0)
-kept = sum(len(v) for v in train)
-held = sum(len(v) for v in test)
-print(f"\ninteraction split: {kept} train / {held} test interactions")
+# interaction-split keeps every project in training: a mask over the edges
+train = split_interactions(ds, 0.7, seed=0)
+print(f"\ninteraction split: {int(train.sum())} train / {int((~train).sum())} test interactions")

@@ -94,6 +94,8 @@ class AgentConfig:
         for name in ("epochs", "batch_size", "hidden", "target_sync", "capacity", "transitions_per_project"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class QNetwork:
@@ -459,8 +461,9 @@ def recommend(query, k: int, net: QNetwork, rep: RepresentativeTable,
     masked actions once. Query items and libraries without
     representatives are never recommended. With ``with_scores`` the
     result pairs each action with the Q-value it was picked at. A list of
-    queries is answered in lockstep, one batched forward per step for
-    each block of queries; the single query is the block of one.
+    queries is answered in lockstep, one batched forward per step (in
+    one-shot mode, the first step only) for each block of queries; the
+    single query is the block of one.
     """
     items = list(query)
     single = not items or isinstance(items[0], numbers.Integral)
@@ -498,28 +501,24 @@ def _answer_block(queries: list[list[int]], k: int, net: QNetwork, rep: Represen
     take = np.minimum(available, k)
 
     picks: list[list[tuple[int, float]]] = [[] for _ in range(b)]
-    if mode == "one-shot":
-        q = net.forward(total / count[:, None])
-        for r in range(b):
-            idx = np.flatnonzero(allowed[r])
-            order = idx[np.lexsort((idx, -q[r, idx]))][:take[r]]
-            picks[r] = list(zip(order.tolist(), q[r, order].tolist()))
-        return picks
     live = np.arange(b)  # block rows still picking; the arrays below hold only theirs
+    q = np.zeros((b, 0))  # scored at the first step; one-shot picks from these scores alone
     step = 0
     while True:
         keep = take[live] > step
         if not keep.all():
-            live, total, count, allowed = live[keep], total[keep], count[keep], allowed[keep]
+            live, total, count, allowed, q = live[keep], total[keep], count[keep], allowed[keep], q[keep]
         if not live.size:
             return picks
-        q = net.forward(total / count[:, None])
-        np.copyto(q, -np.inf, where=~allowed)  # every pick is allowed, so its Q-value stays
+        if mode == "sequential" or not step:
+            q = net.forward(total / count[:, None])
+            np.copyto(q, -np.inf, where=~allowed)  # every pick is allowed, so its Q-value stays
         actions = q.argmax(axis=1)  # first maximum: lowest index
         at = np.arange(len(live))
         for r, a, v in zip(live.tolist(), actions.tolist(), q[at, actions].tolist()):
             picks[r].append((a, v))
         allowed[at, actions] = False
+        q[at, actions] = -np.inf
         total += rep.vectors[actions]
         count += 1
         step += 1

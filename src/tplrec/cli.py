@@ -17,7 +17,7 @@ import numpy as np
 from .agent import MODES, AgentConfig, load_qnetwork, qnetwork_artifact, recommend, save_qnetwork, train_agent
 from .artifact import model_id_of
 from .coldstart import RepresentativeTable, build_representatives
-from .data import InteractionDataset, ingest, popularity
+from .data import InteractionDataset, ingest, popularity, read_lines
 from .embed import EmbedConfig, EmbeddingTable, train_embeddings
 from .errors import DataError, NumericError
 from .evaluation import ProtocolConfig, run_protocol
@@ -37,9 +37,8 @@ class UsageError(Exception):
 # (one per element of a tuple field), or None for a field the command
 # line does not set. `seed` seeds all three configs.
 RENAMED = {
-    ProtocolConfig: {"embed": None, "agent": None, "policy": None, "rank_discounted_epc": None},
-    EmbedConfig: {"batch_size": "embed_batch", "learning_rate": "embed_lr", "max_epochs": "embed_epochs",
-                  "val_fraction": None, "init_scale": None},
+    ProtocolConfig: {"embed": None, "agent": None, "policy": None},
+    EmbedConfig: {"batch_size": "embed_batch", "learning_rate": "embed_lr", "max_epochs": "embed_epochs"},
     AgentConfig: {"learning_rate": "agent_lr", "epochs": "agent_epochs", "batch_size": "agent_batch",
                   "mu": ("mu_rare", "mu_rand", "mu_seq"), "grad_steps_per_epoch": None},
 }
@@ -92,7 +91,7 @@ def load_config(path: str | None, overrides: list[str]) -> RunConfig:
         p = Path(path)
         if not p.is_file():
             raise DataError(f"no such config file: {p}")
-        for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_lines(p), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -306,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, FloatingPointError) as exc:

@@ -1,7 +1,6 @@
 """Interaction data: ingestion, popularity statistics, and split protocols."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -12,11 +11,6 @@ import numpy as np
 from .errors import DataError, ParseError
 
 RARE_THRESHOLD = 0.1
-POPULAR_THRESHOLD = 0.9
-
-
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,18 +61,27 @@ class InteractionDataset:
 
     @cached_property
     def by_project(self) -> tuple[np.ndarray, ...]:
-        return _rows(self.interactions[:, 0], self.interactions[:, 1], self.n_projects)
+        return rows(self.interactions[:, 0], self.interactions[:, 1], self.n_projects)
 
     @cached_property
     def by_library(self) -> tuple[np.ndarray, ...]:
-        return _rows(self.interactions[:, 1], self.interactions[:, 0], self.n_libraries)
+        return rows(self.interactions[:, 1], self.interactions[:, 0], self.n_libraries)
 
 
-def _rows(keys: np.ndarray, values: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
+def rows(keys: np.ndarray, values: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
     """`values` grouped by `keys` in 0..count-1: one sorted read-only array per key."""
     indices = values[np.lexsort((values, keys))]
     indices.flags.writeable = False
     return tuple(np.split(indices, np.cumsum(np.bincount(keys, minlength=count))[:-1]))
+
+
+def read_lines(path: Path) -> list[str]:
+    """The lines of a UTF-8 text file; a DataError naming the file and the
+    byte offset of the first bad byte if it is not UTF-8."""
+    try:
+        return path.read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: bad byte at offset {exc.start}") from None
 
 
 def ingest(source) -> InteractionDataset:
@@ -92,7 +95,7 @@ def ingest(source) -> InteractionDataset:
         path = Path(source)
         if not path.is_file():
             raise DataError(f"no such file: {path}")
-        lines: Iterable[str] = path.read_text(encoding="utf-8").splitlines()
+        lines: Iterable[str] = read_lines(path)
     else:
         lines = [str(l).rstrip("\n") for l in source]
 
@@ -125,9 +128,6 @@ class PopularityTable:
     def is_rare(self, i: int) -> bool:
         return self.rates[i] < RARE_THRESHOLD
 
-    def is_popular(self, i: int) -> bool:
-        return self.rates[i] > POPULAR_THRESHOLD
-
 
 def popularity(train: InteractionDataset) -> PopularityTable:
     """rate(i) = |projects that used i| / N over the training split."""
@@ -157,13 +157,6 @@ def split_users(ds: InteractionDataset, fold_count: int, seed: int = 0) -> list[
     return folds
 
 
-def seen_libraries(ds: InteractionDataset, train_projects) -> np.ndarray:
-    """Boolean mask over the catalog: libraries that occur in the training
-    projects' interactions."""
-    used = ds.interactions[np.isin(ds.interactions[:, 0], train_projects), 1]
-    return np.bincount(used, minlength=ds.n_libraries) > 0
-
-
 def restrict(ds: InteractionDataset, project_indices) -> InteractionDataset:
     """Sub-dataset over the given projects; the library catalog is kept whole."""
     idx = np.unique(np.asarray(project_indices, dtype=np.int64))
@@ -175,44 +168,40 @@ def restrict(ds: InteractionDataset, project_indices) -> InteractionDataset:
     )
 
 
-def split_query_test(items: Sequence[int], fraction: float, seed_or_rng=0) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split one test project's interactions into a query set and a test set.
+def group_ranks(groups: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Each entry's place among the entries of its group, ordered by `keys`
+    (ties by position)."""
+    order = np.lexsort((keys, groups))
+    ordered = groups[order]
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.arange(len(order)) - np.searchsorted(ordered, ordered)
+    return ranks
 
-    |query| = max(1, round-half-up(fraction * n)), clamped so the test
-    side is never empty.
-    """
-    items = np.asarray(items, dtype=np.int64)
+
+def split_groups(groups: np.ndarray, fraction: float, rng) -> np.ndarray:
+    """A mask of a uniform random part of each group of entries, labelled by
+    non-negative integers: of a group of n, round-half-up(fraction * n)
+    entries clamped to [1, n - 1], so both parts are nonempty; a group of
+    one keeps its entry. One uniform draw per entry."""
     if not 0.0 < fraction < 1.0:
-        raise DataError(f"query fraction must be in (0, 1), got {fraction}")
-    n = len(items)
-    if n < 2:
+        raise DataError(f"split fraction must be in (0, 1), got {fraction}")
+    n = np.bincount(groups)[groups]
+    size = np.maximum(1, np.minimum(n - 1, np.floor(fraction * n + 0.5)))
+    return group_ranks(groups, rng.random(len(groups))) < size
+
+
+def split_query_test(items: Sequence[int], fraction: float, seed_or_rng=0) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split one test project's interactions into a query set and a test
+    set, both sorted: `split_groups` over a single group."""
+    items = np.asarray(items, dtype=np.int64)
+    if len(items) < 2:
         raise DataError("project needs >= 2 interactions to form query and test sets")
-    q = min(n - 1, max(1, _round_half_up(fraction * n)))
-    perm = np.random.default_rng(seed_or_rng).permutation(n)
-    return tuple(np.sort(items[perm[:q]]).tolist()), tuple(np.sort(items[perm[q:]]).tolist())
+    query = split_groups(np.zeros(len(items), dtype=np.int64), fraction, np.random.default_rng(seed_or_rng))
+    return tuple(np.sort(items[query]).tolist()), tuple(np.sort(items[~query]).tolist())
 
 
-def split_interactions(ds: InteractionDataset, train_fraction: float, seed: int = 0):
-    """Per-project disjoint train/test interaction lists.
-
-    A project with a single interaction keeps it in training and gets an
-    empty test list. Returns (train_lists, test_lists), one tuple per
-    project.
-    """
-    if not 0.0 < train_fraction < 1.0:
-        raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    rng = np.random.default_rng(seed)
-    train_lists: list[tuple[int, ...]] = []
-    test_lists: list[tuple[int, ...]] = []
-    for u in range(ds.n_projects):
-        items = ds.by_project[u]
-        n = len(items)
-        if n == 1:
-            train_lists.append(tuple(items.tolist()))
-            test_lists.append(())
-            continue
-        t = min(n - 1, max(1, _round_half_up(train_fraction * n)))
-        perm = rng.permutation(n)
-        train_lists.append(tuple(np.sort(items[perm[:t]]).tolist()))
-        test_lists.append(tuple(np.sort(items[perm[t:]]).tolist()))
-    return train_lists, test_lists
+def split_interactions(ds: InteractionDataset, train_fraction: float, seed: int = 0) -> np.ndarray:
+    """A mask over ``ds.interactions``: True for the training part of each
+    project's interactions, by `split_groups`; a project with a single
+    interaction keeps it in training."""
+    return split_groups(ds.interactions[:, 0], train_fraction, np.random.default_rng(seed))

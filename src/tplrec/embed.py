@@ -16,11 +16,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .artifact import Artifact, read_artifact
-from .data import InteractionDataset
+from .data import InteractionDataset, group_ranks
 from .errors import DataError, NumericError
 from .optim import Adam
 
 _MAGIC_EMB = b"TPLE"
+# Share of the training interactions held out for early stopping, and the
+# standard deviation of the initial embeddings.
+VAL_FRACTION = 0.1
+INIT_SCALE = 0.1
 
 
 @dataclass
@@ -35,8 +39,6 @@ class EmbedConfig:
     beta: float = 0.5
     patience: int = 20
     max_epochs: int = 400
-    val_fraction: float = 0.1
-    init_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -49,13 +51,13 @@ class EmbedConfig:
             raise ValueError("patience must be >= 1")
         if self.layers < 0:
             raise ValueError(f"layers must be >= 0, got {self.layers}")
-        for name in ("dim", "batch_size", "negatives", "max_epochs", "learning_rate", "init_scale"):
+        for name in ("dim", "batch_size", "negatives", "max_epochs", "learning_rate"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if not 0 <= self.l2 < np.inf:
             raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(eq=False)
@@ -189,21 +191,17 @@ def _negative_sampler(codes: np.ndarray, n: int, m: int):
 def _holdout_validation(rng, ds: InteractionDataset, fraction: float):
     """Carve out ~fraction of interactions for Recall@10 early stopping,
     keeping every project with at least one training interaction: in a
-    random order, the first edges that are not their project's last."""
+    random order, the first edges that are not their project's last.
+    Returns the training and the validation edges."""
     edges = ds.interactions
     order = rng.permutation(len(edges))
     target = max(1, int(round(fraction * len(edges))))
     users = edges[order, 0]
     degree = np.bincount(users, minlength=ds.n_projects)
-    by_user = np.argsort(users, kind="stable")
-    rank = np.empty(len(edges), dtype=np.int64)
-    rank[by_user] = np.arange(len(edges)) - (np.cumsum(degree) - degree)[users[by_user]]
+    rank = group_ranks(users, np.arange(len(edges)))
     val_mask = np.zeros(len(edges), dtype=bool)
     val_mask[order[rank < degree[users] - 1][:target]] = True
-    val: dict[int, list[int]] = {}
-    for u, i in edges[val_mask].tolist():
-        val.setdefault(u, []).append(i)
-    return edges[~val_mask], val
+    return edges[~val_mask], edges[val_mask]
 
 
 # Rows per block of the validation probe's scores. With OpenBLAS, blocks of
@@ -212,28 +210,30 @@ def _holdout_validation(rng, ds: InteractionDataset, fraction: float):
 _SCORE_BLOCK = 256
 
 
-def _recall_at_10(table: EmbeddingTable, keys: np.ndarray, val: dict[int, list[int]]) -> float:
-    """Mean Recall@10 over the validation projects, scored a block at a
-    time; training items (the sorted u * M + i codes `keys`) are never ranked."""
-    if not val:
+def _recall_at_10(table: EmbeddingTable, keys: np.ndarray, val: np.ndarray) -> float:
+    """Mean Recall@10 over the projects of the validation edges `val`,
+    summed in their order of first appearance and scored a block of
+    projects at a time; training items (the sorted u * M + i codes `keys`)
+    are never ranked."""
+    if not len(val):
         return 0.0
     m = table.libraries.shape[0]
     k = min(10, m)
-    users = np.fromiter(val, dtype=np.int64, count=len(val))
-    recall = np.empty(len(users))
+    codes = val[:, 0] * m + val[:, 1]
+    users, first, which, size = np.unique(val[:, 0], return_index=True, return_inverse=True, return_counts=True)
+    hit = np.zeros(len(val), dtype=bool)
     for start in range(0, table.projects.shape[0], _SCORE_BLOCK):
         stop = start + _SCORE_BLOCK
-        rows = np.flatnonzero((users >= start) & (users < stop))
-        if not len(rows):
+        lo, hi = np.searchsorted(users, (start, stop))
+        if lo == hi:
             continue
         scores = table.projects[start:stop] @ table.libraries.T
-        lo, hi = np.searchsorted(keys, (start * m, stop * m))
-        scores[keys[lo:hi] // m - start, keys[lo:hi] % m] = -np.inf
-        top = np.argpartition(-scores[users[rows] - start], k - 1, axis=1)[:, :k]
-        for j, picks in zip(rows, top):
-            items = val[int(users[j])]
-            recall[j] = np.isin(picks, items).sum() / len(items)
-    return float(np.cumsum(recall)[-1]) / len(val)
+        a, b = np.searchsorted(keys, (start * m, stop * m))
+        scores[keys[a:b] // m - start, keys[a:b] % m] = -np.inf
+        top = np.argpartition(-scores[users[lo:hi] - start], k - 1, axis=1)[:, :k]
+        hit |= np.isin(codes, users[lo:hi, None] * m + top)
+    recall = (np.bincount(which[hit], minlength=len(users)) / size)[np.argsort(first)]
+    return float(np.cumsum(recall)[-1]) / len(users)
 
 
 @dataclass(eq=False)
@@ -247,7 +247,7 @@ class EmbedResult:
 def train_embeddings(train: InteractionDataset, cfg: EmbedConfig) -> EmbedResult:
     """Mini-batch training with early stopping on validation Recall@10.
 
-    Validation is a seeded ``cfg.val_fraction`` interaction holdout
+    Validation is a seeded ``VAL_FRACTION`` interaction holdout
     carved from the training data. Returns the best-validation snapshot
     with rows renormalized to unit norm, plus a per-epoch history of
     (epoch, mean loss, validation recall).
@@ -258,14 +258,14 @@ def train_embeddings(train: InteractionDataset, cfg: EmbedConfig) -> EmbedResult
         raise DataError(f"project {train.projects[full[0]]} uses all {m} libraries, so it has no negatives to sample")
     rng = np.random.default_rng(cfg.seed)
 
-    train_edges, validation = _holdout_validation(rng, train, cfg.val_fraction)
+    train_edges, validation = _holdout_validation(rng, train, VAL_FRACTION)
 
     adj = _adjacency_from_edges(n, m, train_edges)
     rates = np.bincount(train_edges[:, 1], minlength=m) / float(n)
     keys = np.sort(train_edges[:, 0] * m + train_edges[:, 1])
     sample_negatives = _negative_sampler(keys, n, m)
 
-    e0 = rng.normal(0.0, cfg.init_scale, size=(n + m, cfg.dim))
+    e0 = rng.normal(0.0, INIT_SCALE, size=(n + m, cfg.dim))
     opt = Adam(cfg.learning_rate)
 
     best_recall = -1.0

@@ -4,18 +4,19 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 import numpy as np
 
 from .agent import MODES, AgentConfig, recommend, train_agent
 from .coldstart import build_representatives
-from .data import (
+# `split_query_test` is not called here; perfbench/layers.py wraps it under this module's name.
+from .data import (  # noqa: F401
     InteractionDataset,
     PopularityTable,
     popularity,
     restrict,
-    seen_libraries,
+    rows,
+    split_groups,
     split_interactions,
     split_query_test,
     split_users,
@@ -37,23 +38,19 @@ def precision_recall_at_k(recommended, truth, k: int) -> tuple[float, float]:
     return 100.0 * hits / k, 100.0 * hits / len(truth)
 
 
-def epc_at_k(recommended_lists, truths, pop: PopularityTable, k: int,
-             rank_discounted: bool = False) -> float:
-    """Expected popularity complement of the relevant recommended items.
-
-    Rank-unweighted by default: the mean of (1 - popularity rate) over
-    all hits, in percent; 0 when there are no hits. The discounted
-    variant weighs rank r by 1/log2(r + 1).
+def epc_at_k(recommended_lists, truths, pop: PopularityTable, k: int) -> float:
+    """Expected popularity complement of the relevant recommended items:
+    the mean of (1 - popularity rate) over all hits, in percent; 0 when
+    there are no hits.
     """
     num = 0.0
     den = 0.0
     for rec, truth in zip(recommended_lists, truths):
         tset = set(int(i) for i in truth)
-        for r, i in enumerate([int(x) for x in rec][:k], start=1):
+        for i in [int(x) for x in rec][:k]:
             if i in tset:
-                w = 1.0 / np.log2(r + 1) if rank_discounted else 1.0
-                num += w * (1.0 - pop.rates[i])
-                den += w
+                num += 1.0 - pop.rates[i]
+                den += 1.0
     return 100.0 * num / den if den > 0 else 0.0
 
 
@@ -127,7 +124,6 @@ class ProtocolConfig:
     train_fraction: float = 0.7
     blend: float = 0.5
     mode: str = "sequential"
-    rank_discounted_epc: bool = False
     policy: str = "agent"
     seed: int = 0
     embed: EmbedConfig = field(default_factory=EmbedConfig)
@@ -144,6 +140,8 @@ class ProtocolConfig:
             raise DataError(f"k must be >= 1, got {self.k}")
         if self.folds < 2:
             raise DataError(f"folds must be >= 2, got {self.folds}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         for name in ("query_fraction", "train_fraction"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise DataError(f"{name} must be in (0, 1), got {getattr(self, name)}")
@@ -163,12 +161,12 @@ def _baseline_recommend(policy: str, query, allowed: np.ndarray, k: int,
     return [int(a) for a in order[:k]]
 
 
-def _fold_metrics(rec_lists, truths, pop, m, k, rank_discounted) -> dict[str, float]:
+def _fold_metrics(rec_lists, truths, pop, m, k) -> dict[str, float]:
     pr = [precision_recall_at_k(rec, truth, k) for rec, truth in zip(rec_lists, truths)]
     return {
         "precision": float(np.mean([p for p, _ in pr])),
         "recall": float(np.mean([r for _, r in pr])),
-        "epc": epc_at_k(rec_lists, truths, pop, k, rank_discounted),
+        "epc": epc_at_k(rec_lists, truths, pop, k),
         "coverage": coverage_at_k(rec_lists, m, k),
     }
 
@@ -192,47 +190,42 @@ def _coldstart_folds(ds: InteractionDataset, cfg: ProtocolConfig):
     its libraries and is scored on the rest."""
     qf = 0.3 if cfg.protocol == "coldstart-30" else cfg.query_fraction
     for f, fold in enumerate(split_users(ds, cfg.folds, cfg.seed)):
-        seen = seen_libraries(ds, fold.train_projects)
-        split_rng = np.random.default_rng(cfg.seed * 7919 + f)
-        cases = []
-        for u in fold.test_projects:
-            items = ds.by_project[int(u)]
-            if len(items) < 2:
-                cases.append(((), ()))
-                continue
-            query, test = split_query_test(items, qf, split_rng)
-            cases.append((tuple(i for i in query if seen[i]), tuple(i for i in test if seen[i])))
-        yield restrict(ds, fold.train_projects), seen, cases
+        edges = ds.interactions[np.isin(ds.interactions[:, 0], fold.test_projects)]
+        query = split_groups(edges[:, 0], qf, np.random.default_rng(cfg.seed * 7919 + f))
+        yield restrict(ds, fold.train_projects), fold.test_projects, edges[query], edges[~query]
 
 
 def _interaction_folds(ds: InteractionDataset, cfg: ProtocolConfig):
-    """One fold: every project trains on its retained interactions and is
-    scored on its held-out ones."""
-    train_lists, test_lists = split_interactions(ds, cfg.train_fraction, cfg.seed)
-    edges = np.column_stack([np.repeat(np.arange(ds.n_projects), [len(t) for t in train_lists]),
-                             np.fromiter(chain.from_iterable(train_lists), dtype=np.int64)])
-    seen = np.bincount(edges[:, 1], minlength=ds.n_libraries) > 0
-    cases = [(train_lists[u], tuple(i for i in test_lists[u] if seen[i])) for u in range(ds.n_projects)]
-    yield InteractionDataset(ds.projects, ds.libraries, edges), seen, cases
+    """One fold: every project trains on its retained interactions, which
+    are its query, and is scored on its held-out ones."""
+    train = split_interactions(ds, cfg.train_fraction, cfg.seed)
+    edges = ds.interactions
+    yield (InteractionDataset(ds.projects, ds.libraries, edges[train]), np.arange(ds.n_projects),
+           edges[train], edges[~train])
 
 
 def run_protocol(ds: InteractionDataset, cfg: ProtocolConfig) -> MetricsReport:
     """Run one evaluation protocol end to end and report per-fold metrics.
 
-    Each fold yields a training set and one (query, truth) case per test
-    project; a case with an empty query or truth is skipped. A fold whose
-    training fails or that has no case left is reported incomplete. If
-    no fold completes, the last training error is raised, or DataError
-    when no fold had a project to evaluate.
+    Each fold yields a training set, its test projects and their query and
+    truth edges. Libraries the training set never uses are dropped from
+    both, and a test project whose query or truth is then empty is
+    skipped. A fold whose training fails or that has no project left is
+    reported incomplete. If no fold completes, the last training error is
+    raised, or DataError when no fold had a project to evaluate.
     """
     start = time.monotonic()
     folds = _interaction_folds if cfg.protocol == "interaction-split" else _coldstart_folds
     report = MetricsReport(protocol=cfg.protocol, k=cfg.k, seed=cfg.seed)
     failure: Exception | None = None
-    for f, (train_ds, seen, cases) in enumerate(folds(ds, cfg)):
+    for f, (train_ds, test, query, truth) in enumerate(folds(ds, cfg)):
         pop = popularity(train_ds)
-        evaluated = [(query, truth) for query, truth in cases if query and truth]
-        skipped = len(cases) - len(evaluated)
+        seen = pop.counts > 0
+        query, truth = query[seen[query[:, 1]]], truth[seen[truth[:, 1]]]
+        # one case per test project: its query and truth libraries, sorted
+        query, truth = (rows(np.searchsorted(test, e[:, 0]), e[:, 1], len(test)) for e in (query, truth))
+        evaluated = [(q, t) for q, t in zip(query, truth) if len(q) and len(t)]
+        skipped = len(test) - len(evaluated)
         if not evaluated:
             warnings.warn(f"fold {f} has no project to evaluate")
         else:
@@ -246,11 +239,9 @@ def run_protocol(ds: InteractionDataset, cfg: ProtocolConfig) -> MetricsReport:
             report.skipped.append(skipped)
             report.incomplete.append(f)
             continue
-        rec_lists = policy([query for query, _ in evaluated])
-        truths = [truth for _, truth in evaluated]
-        report.fold_metrics.append(
-            _fold_metrics(rec_lists, truths, pop, ds.n_libraries, cfg.k, cfg.rank_discounted_epc)
-        )
+        rec_lists = policy([q for q, _ in evaluated])
+        truths = [t for _, t in evaluated]
+        report.fold_metrics.append(_fold_metrics(rec_lists, truths, pop, ds.n_libraries, cfg.k))
         report.skipped.append(skipped)
     if len(report.incomplete) == len(report.fold_metrics):
         raise failure or DataError(f"{cfg.protocol} evaluation produced no test projects")

@@ -117,15 +117,16 @@ def holdout_validation_loop(rng, edges, n_projects, fraction):
         val_mask[j] = True
         remaining[u] -= 1
         taken += 1
-    val = {}
-    for u, i in edges[val_mask]:
-        val.setdefault(int(u), []).append(int(i))
-    return edges[~val_mask], val
+    return edges[~val_mask], edges[val_mask]
 
 
-def recall_at_10_dense(table, user_items, val):
+def recall_at_10_dense(table, user_items, val_edges):
     """Validation Recall@10 from the dense N x M score matrix, masking each
-    project's training items from its set."""
+    project's training items from its set; projects are summed in their
+    order of first appearance in `val_edges`."""
+    val = {}
+    for u, i in val_edges.tolist():
+        val.setdefault(u, []).append(i)
     if not val:
         return 0.0
     scores = table.projects @ table.libraries.T

@@ -635,9 +635,9 @@ class TestLockstepRecommend:
         calls = iter(recorder.states)
         for start in range(0, len(queries), agent._BLOCK):
             block = range(start, min(start + agent._BLOCK, len(queries)))
-            steps = 1 if mode == "one-shot" else max(len(got[r]) for r in block)
-            for step in range(steps):
-                rows = block if mode == "one-shot" else [r for r in block if len(got[r]) > step]
+            steps = max(len(got[r]) for r in block)
+            for step in range(min(steps, 1) if mode == "one-shot" else steps):
+                rows = [r for r in block if len(got[r]) > step]
                 known = [queries[r] + [a for a, _ in got[r][:step]] for r in rows]
                 assert np.array_equal(next(calls), np.stack([aggregate(kn, rep) for kn in known]))
         assert next(calls, None) is None

@@ -78,6 +78,7 @@ BAD_VALUES = [
     ("--l2", "-1"),
     ("--capacity", "0"),
     ("--folds", "1"),
+    ("--seed", "-1"),
 ]
 
 
@@ -144,6 +145,21 @@ class TestExitCodes:
         assert main(["train", "--dataset", str(data), "--output", str(tmp_path / "model")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "a uses all 2 libraries" in err
+
+    @pytest.mark.parametrize("case", ["dataset not UTF-8", "config not UTF-8", "output is a file"])
+    def test_bad_file_is_one_data_line(self, dataset_file, tmp_path, capsys, case):
+        path, _ = dataset_file
+        latin1 = tmp_path / "latin1.tsv"
+        latin1.write_bytes("p\tl\np\tcafé\n".encode("latin-1"))
+        argv = {
+            "dataset not UTF-8": ["train", "--dataset", str(latin1), "--output", str(tmp_path / "out")],
+            "config not UTF-8": ["evaluate", "--config", str(latin1), "--dataset", str(path)],
+            "output is a file": ["train", "--dataset", str(path), "--output", str(path), *FAST_TRAIN],
+        }[case]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:"), err
+        assert (str(latin1) in err[0] and "offset 9" in err[0]) or case == "output is a file"
 
     def test_malformed_dataset_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from tplrec.data import (
     InteractionDataset,
     ingest,
     popularity,
     restrict,
-    seen_libraries,
+    split_groups,
     split_interactions,
     split_query_test,
     split_users,
@@ -126,7 +127,7 @@ class TestArrayCore:
         sub = restrict(ds, keep)
         assert sub.interactions.tolist() == [[keep.index(u), i] for u, i in ds.interactions.tolist() if u in keep]
         used = {i for u, i in ds.interactions.tolist() if u in keep}
-        assert seen_libraries(ds, keep).tolist() == [i in used for i in range(ds.n_libraries)]
+        assert (popularity(sub).counts > 0).tolist() == [i in used for i in range(ds.n_libraries)]
 
 
 class TestPopularity:
@@ -143,7 +144,6 @@ class TestPopularity:
         ds = toy([f"p{j}\tl" for j in range(5)])
         pop = popularity(ds)
         assert pop.rates[0] == 1.0
-        assert pop.is_popular(0)
 
     def test_rates_match_brute_force(self):
         rng = np.random.default_rng(5)
@@ -235,27 +235,62 @@ class TestQueryTestSplit:
         assert len(q) >= 1 and len(t) >= 1
 
 
+class TestSplitGroups:
+    @pytest.mark.parametrize("n,fraction,size", [
+        (1, 0.5, 1), (1, 0.05, 1), (2, 0.05, 1), (2, 0.5, 1), (2, 0.95, 1),
+        (10, 0.04, 1), (10, 0.25, 3), (10, 0.3, 3), (10, 0.95, 9)])
+    def test_size_rule(self, n, fraction, size):
+        # round-half-up of fraction * n, clamped to [1, n - 1]; a group of one keeps its entry
+        groups = np.random.default_rng(n).permutation(np.repeat([3, 0], n))
+        mask = split_groups(groups, fraction, np.random.default_rng(0))
+        assert mask[groups == 3].sum() == mask[groups == 0].sum() == size
+
+    @given(sizes=st.lists(st.integers(2, 30), min_size=1, max_size=8),
+           fraction=st.floats(0.01, 0.99), seed=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_both_parts_nonempty(self, sizes, fraction, seed):
+        groups = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(sizes)), sizes))
+        mask = split_groups(groups, fraction, np.random.default_rng(seed))
+        kept = np.bincount(groups[mask], minlength=len(sizes))
+        assert (kept >= 1).all() and (kept <= np.array(sizes) - 1).all()
+
+    def test_subsets_uniform(self):
+        # 20000 groups of 5 keep 2 each: the 10 subsets should be equally likely
+        trials, n = 20000, 5
+        mask = split_groups(np.repeat(np.arange(trials), n), 0.4, np.random.default_rng(1)).reshape(trials, n)
+        assert (mask.sum(axis=1) == 2).all()
+        _, counts = np.unique(mask @ (1 << np.arange(n)), return_counts=True)
+        assert len(counts) == 10
+        assert chisquare(counts).pvalue > 1e-3
+
+    def test_deterministic_for_a_seed(self):
+        groups = np.repeat(np.arange(50), 7)
+        a, b, c = (split_groups(groups, 0.5, np.random.default_rng(s)) for s in (4, 4, 5))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+
 class TestInteractionSplit:
     def test_even_split(self):
         ds = toy([f"p1\tl{j}" for j in range(4)] + ["p2\tl0"])
-        train, test = split_interactions(ds, 0.5, seed=0)
-        assert len(train[0]) == 2 and len(test[0]) == 2
+        train = split_interactions(ds, 0.5, seed=0)
+        assert train[:4].sum() == 2 and (~train[:4]).sum() == 2
 
     def test_single_interaction_goes_to_train(self):
         ds = toy(["p1\tl1"])
-        train, test = split_interactions(ds, 0.5, seed=0)
-        assert train[0] == (0,) and test[0] == ()
+        assert split_interactions(ds, 0.5, seed=0).tolist() == [True]
 
     def test_union_recovers_dataset(self):
         rng = np.random.default_rng(3)
         lines = [f"p{u}\tl{i}" for u in range(20) for i in rng.choice(15, rng.integers(1, 8), replace=False)]
         ds = toy(lines)
-        train, test = split_interactions(ds, 0.6, seed=2)
-        rebuilt = {(u, i) for u in range(ds.n_projects) for i in train[u] + test[u]}
-        assert rebuilt == set(map(tuple, ds.interactions.tolist()))
-        for u in range(ds.n_projects):
-            assert not set(train[u]) & set(test[u])
-            assert len(train[u]) >= 1
+        train = split_interactions(ds, 0.6, seed=2)
+        assert train.shape == (ds.n_interactions,)
+        u = ds.interactions[:, 0]
+        degree = np.bincount(u, minlength=ds.n_projects)
+        kept = np.bincount(u[train], minlength=ds.n_projects)
+        assert (kept >= 1).all()
+        assert (kept[degree >= 2] <= degree[degree >= 2] - 1).all()
 
 
 class TestRestrict:
@@ -268,4 +303,4 @@ class TestRestrict:
 
     def test_seen_libraries(self):
         ds = toy(["p1\tl1", "p2\tl2"])
-        assert seen_libraries(ds, [0]).tolist() == [True, False]
+        assert (popularity(restrict(ds, [0])).counts > 0).tolist() == [True, False]

@@ -85,14 +85,9 @@ class TestEPC:
         without = epc_at_k([[a]], [[a]], pop, 1)
         assert with_miss == pytest.approx(without)
 
-    def test_rank_discounted_weighs_early_hits(self):
-        # rare hit first vs popular hit first; discounting favors rank 1
+    def test_order_invariant(self):
         ds, pop = pop_for({"a": 0.1, "b": 0.9})
         a, b = ds.libraries.index("a"), ds.libraries.index("b")
-        rare_first = epc_at_k([[a, b]], [[a, b]], pop, 2, rank_discounted=True)
-        pop_first = epc_at_k([[b, a]], [[a, b]], pop, 2, rank_discounted=True)
-        assert rare_first > pop_first
-        # unweighted variant is order-invariant
         assert epc_at_k([[a, b]], [[a, b]], pop, 2) == pytest.approx(
             epc_at_k([[b, a]], [[a, b]], pop, 2))
 
@@ -187,10 +182,6 @@ class TestProtocols:
             ProtocolConfig(k=0)
         with pytest.raises(DataError):
             ProtocolConfig(folds=1)
-        with pytest.raises(ValueError):
-            EmbedConfig(val_fraction=0)
-        with pytest.raises(ValueError):
-            EmbedConfig(init_scale=0)
 
     def test_coldstart_runs_and_reports(self):
         ds = planted_communities(**SMALL)
@@ -222,6 +213,27 @@ class TestProtocols:
         ds = planted_communities(**SMALL)
         report = run_protocol(ds, fast_cfg(protocol="interaction-split", policy="popularity"))
         assert len(report.fold_metrics) == 1
+
+    def test_coldstart_skipped_counts_short_and_unseen_projects(self):
+        # two single-library projects, and one whose libraries no other project uses
+        base = planted_communities(**SMALL)
+        lines = [f"{base.projects[u]}\t{base.libraries[i]}" for u, i in base.interactions.tolist()]
+        ds = ingest(lines + ["solo\tl0", "alone\tx0", "unseen\ty0", "unseen\ty1", "unseen\ty2"])
+        cfg = fast_cfg(protocol="coldstart-100", policy="popularity")
+        expected = []
+        for train_ds, test, query, truth in tplrec.evaluation._coldstart_folds(ds, cfg):
+            seen = popularity(train_ds).counts > 0
+            short = emptied = 0
+            for u in test.tolist():
+                q, t = query[query[:, 0] == u, 1], truth[truth[:, 0] == u, 1]
+                assert sorted(q.tolist() + t.tolist()) == ds.by_project[u].tolist()
+                if len(ds.by_project[u]) < 2:
+                    short += 1
+                elif not (seen[q].any() and seen[t].any()):
+                    emptied += 1
+            expected.append((short, emptied))
+        assert [sum(e) for e in zip(*expected)] == [2, 1]
+        assert run_protocol(ds, cfg).skipped == [short + emptied for short, emptied in expected]
 
     def test_coldstart_100_uses_query_fraction(self):
         ds = planted_communities(**SMALL)
