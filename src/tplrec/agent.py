@@ -4,13 +4,14 @@ Q-learning objective, and the popularity-aware partitioned replay buffer.
 from __future__ import annotations
 
 import csv
+import io
 import numbers
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .artifact import Artifact, read_artifact
 # `aggregate` is not called here; perfbench/layers.py wraps it under this module's name.
@@ -122,15 +123,30 @@ class QNetwork:
             "ba": np.zeros(n_actions),
         }
 
-    def streams(self, states: np.ndarray):
-        """Value and advantage heads for a batch of states."""
+    def _hidden(self, states: np.ndarray):
+        """The (states, z, h) of a batch of states: pre-activations z and ReLU h."""
         states = np.atleast_2d(states)
         z = states @ self.params["w1"].T + self.params["b1"]
-        h = np.maximum(z, 0.0)
+        return states, z, np.maximum(z, 0.0)
+
+    def streams(self, states: np.ndarray):
+        """Value and advantage heads for a batch of states."""
+        states, z, h = self._hidden(states)
         v = h @ self.params["wv"] + self.params["bv"][0]
         a = h @ self.params["wa"].T
         a += self.params["ba"]
         return v, a, (states, z, h)
+
+    def q_at(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """Q(s, a) for one action per state, from the dueling identity
+        V(s) + h . wa[a] + ba[a] - (h . mean(wa) + mean(ba)): a gather of
+        one advantage row per state in place of the whole advantage head.
+        Equal to `forward(states)[rows, actions]` up to rounding."""
+        _, _, h = self._hidden(states)
+        wa, ba = self.params["wa"], self.params["ba"]
+        v = h @ self.params["wv"] + self.params["bv"][0]
+        chosen = np.einsum("bh,bh->b", h, wa[actions]) + ba[actions]
+        return v + chosen - (h @ wa.mean(axis=0) + ba.mean())
 
     def forward(self, states: np.ndarray) -> np.ndarray:
         q, _ = self.forward_cached(states)
@@ -149,7 +165,7 @@ class QNetwork:
         states, z, h = cache
         dv = dq.sum(axis=1)
         da = dq
-        da -= dq.mean(axis=1, keepdims=True)
+        da -= (dv / dq.shape[1])[:, None]  # NumPy's mean is this sum over the count
         grads = {
             "wv": h.T @ dv,
             "bv": np.array([dv.sum()]),
@@ -244,9 +260,31 @@ def gen_transition(train: InteractionDataset, projects, copies: int, rep: Repres
 def _q_targets(batch: Transition, online: QNetwork, target: QNetwork, gamma: float) -> np.ndarray:
     if batch.terminal.all() or gamma == 0.0:
         return batch.reward
+    # Double DQN: the online network's argmax needs every action, the target's value only a*.
     a_star = np.argmax(online.forward(batch.next_state), axis=1)
-    q_next = target.forward(batch.next_state)[np.arange(len(batch)), a_star]
+    q_next = target.q_at(batch.next_state, a_star)
     return batch.reward + gamma * q_next * (~batch.terminal)
+
+
+def _exp_logsumexp(q: np.ndarray) -> np.ndarray:
+    """Each row's logsumexp, bitwise `scipy.special.logsumexp(q, axis=1)`,
+    overwriting q with exp(q - row max): one exponential pass.
+
+    SciPy sums the exponentials without the row's m maxima and returns
+    log1p(s / m) + log(m) + max; here the maxima's exp(0) == 1 entries are
+    set to 0 for that sum and back to 1 after it.
+    """
+    top = q.max(axis=1)
+    # A row holding inf or NaN gives a non-finite result, which `cql_loss` rejects.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q -= top[:, None]
+        maxima = q == 0.0
+        np.exp(q, out=q)
+        np.copyto(q, 0.0, where=maxima)
+        s = q.sum(axis=1)
+        np.copyto(q, 1.0, where=maxima)
+        m = np.count_nonzero(maxima, axis=1)
+        return np.log1p(s / m) + np.log(m) + top
 
 
 def cql_loss(batch: Transition, online: QNetwork, target: QNetwork, alpha: float, gamma: float,
@@ -266,22 +304,21 @@ def cql_loss(batch: Transition, online: QNetwork, target: QNetwork, alpha: float
     w = np.full(b, 1.0 / b) if weights is None else np.asarray(weights, dtype=np.float64)
     y = _q_targets(batch, online, target, gamma)
     q, cache = online.forward_cached(batch.state)
-    q_a = q[np.arange(b), batch.action]
-    reg = logsumexp(q, axis=1) - q_a
+    rows = np.arange(b)
+    q_a = q[rows, batch.action]
+    reg = _exp_logsumexp(q) - q_a  # q holds exp(q - max) from here
     bellman = (y - q_a) ** 2
     loss = float(w @ (alpha * reg + 0.5 * bellman))
     if not np.isfinite(loss):
         raise NumericError("CQL loss is non-finite")
 
-    # alpha * w * softmax(q) in place over q, which is not read again: scipy's
-    # softmax in the same operation order, so the result is bitwise the same.
+    # d loss / d Q: alpha * w * softmax(q), less the one-hot term. scipy's
+    # softmax is exp(q - max) / its sum, so this is bitwise the same.
     dq = q
-    dq -= dq.max(axis=1, keepdims=True)
-    np.exp(dq, out=dq)
     dq /= dq.sum(axis=1, keepdims=True)
     dq *= (alpha * w)[:, None]
     one_hot_scale = w * (alpha + (y - q_a))
-    dq[np.arange(b), batch.action] -= one_hot_scale
+    dq[rows, batch.action] -= one_hot_scale
     grads = online.backward(cache, dq)
     return loss, grads, reg
 
@@ -399,12 +436,16 @@ class AgentStats:
     log: list = field(default_factory=list)  # rows: (epoch, step, loss, lr, mean_q)
     min_regularizer: float = np.inf
 
-    def write_curve(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "step", "loss", "lr", "mean_q"])
-            for row in self.log:
-                writer.writerow([row[0], row[1], f"{row[2]:.6f}", f"{row[3]:.8f}", f"{row[4]:.6f}"])
+    def write_curve(self, path) -> bytes:
+        """Write the log as CSV and return the bytes written."""
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        writer.writerow(["epoch", "step", "loss", "lr", "mean_q"])
+        for row in self.log:
+            writer.writerow([row[0], row[1], f"{row[2]:.6f}", f"{row[3]:.8f}", f"{row[4]:.6f}"])
+        data = text.getvalue().encode()
+        Path(path).write_bytes(data)
+        return data
 
 
 def train_agent(train: InteractionDataset, table: EmbeddingTable, rep: RepresentativeTable,

@@ -40,11 +40,13 @@ class Artifact:
         return cls(magic, tuple(int(x) for x in dims),
                    b"".join(np.asarray(array).astype(dtype).tobytes() for array, dtype in arrays))
 
-    def write(self, path, model_id: str | None = None) -> None:
-        """Header, then the payload; without `model_id` the artifact's own id."""
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(self.magic, VERSION, *self.dims, bytes.fromhex(model_id or model_id_of(self))))
-            fh.write(self.payload)
+    def write(self, path, model_id: str | None = None) -> bytes:
+        """Write the header, then the payload, and return the bytes written;
+        without `model_id` the header holds the artifact's own id."""
+        header = _HEADER.pack(self.magic, VERSION, *self.dims, bytes.fromhex(model_id or model_id_of(self)))
+        data = header + self.payload
+        Path(path).write_bytes(data)
+        return data
 
 
 def model_id_of(*artifacts: Artifact) -> str:

@@ -14,7 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import MODES, AgentConfig, load_qnetwork, qnetwork_artifact, recommend, save_qnetwork, train_agent
+from .agent import MODES, AgentConfig, load_qnetwork, qnetwork_artifact, recommend, train_agent
+# `save_qnetwork` is not called here; perfbench/layers.py wraps it under this module's name.
+from .agent import save_qnetwork  # noqa: F401
 from .artifact import model_id_of
 from .coldstart import RepresentativeTable, build_representatives
 from .data import InteractionDataset, ingest, popularity, read_lines
@@ -118,16 +120,15 @@ def load_config(path: str | None, overrides: list[str]) -> RunConfig:
     return cfg
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_vocab(path: Path, ds: InteractionDataset, model_id: str) -> None:
-    """The model id line, then one line per project and one per library, in index order."""
+def _write_vocab(path: Path, ds: InteractionDataset, model_id: str) -> bytes:
+    """The model id line, then one line per project and one per library, in
+    index order; returns the bytes written."""
     lines = [f"model\t{model_id}"]
     lines += [f"project\t{name}" for name in ds.projects]
     lines += [f"library\t{name}" for name in ds.libraries]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    path.write_bytes(data)
+    return data
 
 
 class _Libraries:
@@ -186,16 +187,15 @@ def cmd_train(args) -> int:
     rep = build_representatives(emb.table, ds, run.blend)
     net, stats = train_agent(ds, emb.table, rep, run.agent)
 
-    model_id = model_id_of(emb.table.artifact(), rep.artifact(), qnetwork_artifact(net))
-    emb.table.save(out / "embeddings.tple", model_id)
-    rep.save(out / "representatives.tplr", model_id)
-    save_qnetwork(out / "qnet.tplq", net, model_id)
-    stats.write_curve(out / "curve.csv")
-    _write_vocab(out / "vocab.tsv", ds, model_id)
+    artifacts = {"embeddings.tple": emb.table.artifact(), "representatives.tplr": rep.artifact(),
+                 "qnet.tplq": qnetwork_artifact(net)}
+    model_id = model_id_of(*artifacts.values())
+    written = {name: art.write(out / name, model_id) for name, art in artifacts.items()}
+    written["curve.csv"] = stats.write_curve(out / "curve.csv")
+    written["vocab.tsv"] = _write_vocab(out / "vocab.tsv", ds, model_id)
 
     manifest = _config_lines(cfg)
-    for name in ("embeddings.tple", "representatives.tplr", "qnet.tplq", "curve.csv", "vocab.tsv"):
-        manifest.append(f"sha256:{name} {_sha256(out / name)}")
+    manifest += [f"sha256:{name} {hashlib.sha256(data).hexdigest()}" for name, data in written.items()]
     (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
     print(f"artifacts written to {out}")
     return EXIT_OK

@@ -93,13 +93,23 @@ def aggregate(libraries, rep: RepresentativeTable) -> np.ndarray:
 
 def segment_sums(rows: np.ndarray, libraries: np.ndarray, n_rows: int, rep: RepresentativeTable) -> np.ndarray:
     """(n_rows, d) sums of the representatives of `libraries`, each added to
-    its entry of `rows` in order. For d >= 2 a row is bitwise the
-    `rep.vectors[q].sum(axis=0)` that `aggregate` divides: NumPy sums axis 0
-    row by row (one column it sums pairwise). Raises DataError if a library
-    has no representative."""
+    its entry of `rows` in order. `rows` must be nondecreasing, so each
+    row's entries are consecutive; the sums add one position of every row
+    at a time, which is `np.add.at`'s order within each row. For d >= 2 a
+    row is bitwise the `rep.vectors[q].sum(axis=0)` that `aggregate`
+    divides: NumPy sums axis 0 row by row (one column it sums pairwise).
+    Raises DataError if a library has no representative."""
     missing = ~rep.has_rep[libraries]
     if missing.any():
         raise DataError(f"libraries without representatives: {np.unique(libraries[missing])[:5].tolist()}")
+    if (rows[1:] < rows[:-1]).any():
+        raise ValueError("segment_sums needs nondecreasing rows")
     total = np.zeros((n_rows, rep.dim))
-    np.add.at(total, rows, rep.vectors[libraries])
+    first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])  # each run of equal rows; [0] if none
+    size = np.diff(first, append=len(rows))
+    longest = np.argsort(-size)
+    first, size = first[longest], size[longest]
+    for j in range(size[0]):
+        at = first[:np.searchsorted(-size, -j)] + j  # the j-th entry of each row with more than j
+        total[rows[at]] += rep.vectors[libraries[at]]
     return total

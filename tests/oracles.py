@@ -5,6 +5,7 @@ import numpy as np
 
 from tplrec.coldstart import aggregate
 from tplrec.errors import DataError
+from tplrec.optim import BETA1, BETA2, EPS
 
 
 def reward_expanded(action, known, table, train, blend):
@@ -253,3 +254,18 @@ def sample_seq_rebuild(entries, cursor, k):
             depth = -1
         depth += 1
     return picks, (cursor + k) % len(order)
+
+
+def adam_step_expr(state, params, grads, lr):
+    """One Adam step as expressions over fresh arrays: the moments in
+    `state` (with the step count "t") and the parameters are replaced by
+    new arrays."""
+    state["t"] = t = state.get("t", 0) + 1
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        m = state.get(("m", name), np.zeros_like(p)) * BETA1 + (1.0 - BETA1) * g
+        v = state.get(("v", name), np.zeros_like(p)) * BETA2 + (1.0 - BETA2) * g * g
+        state["m", name], state["v", name] = m, v
+        params[name] = p - lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)

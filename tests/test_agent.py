@@ -4,9 +4,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as spstats
+from scipy.special import logsumexp
 
 from tplrec import agent
 from tplrec.agent import (
@@ -21,6 +22,7 @@ from tplrec.agent import (
     recommend,
     reward,
     save_qnetwork,
+    _exp_logsumexp,
     _q_targets,
     train_agent,
 )
@@ -131,6 +133,21 @@ class TestInPlaceKernels:
         assert np.array_equal(reg, reg_expected)
         assert grads.keys() == expected.keys()
         assert all(np.array_equal(grads[k], expected[k]) for k in expected)
+
+    @given(rows=st.lists(st.lists(st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-0.0, 0.0, 1.0, -800.0])),
+                                  min_size=7, max_size=7), min_size=1, max_size=6),
+           m=st.integers(1, 7))
+    @settings(max_examples=200, deadline=None)
+    @example(rows=[[2.0, 2.0, -1.0, 2.0, 0.5, 0.0, 2.0]], m=7)  # tied maxima
+    @example(rows=[[0.25] * 7, [-0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0]], m=7)  # all equal
+    @example(rows=[[0.0, -800.0, -745.2, -1e3, -800.0, -1e3, -760.0]], m=7)  # the rest underflows to 0
+    def test_logsumexp_equals_scipy(self, rows, m):
+        q = np.array(rows)[:, :m]
+        expected = logsumexp(q, axis=1)
+        e = q.copy()
+        got = _exp_logsumexp(e)
+        assert got.tobytes() == expected.tobytes()
+        assert e.tobytes() == np.exp(q - q.max(axis=1, keepdims=True)).tobytes()
 
 
 class TestReward:
@@ -266,6 +283,26 @@ class TestQTarget:
         target.params["bv"][0] += shift  # move V so Q(s', a*) is exactly 0.5
         t = stack([(np.ones(2), 0, 1.0, s_next, False)])
         assert _q_targets(t, online, target, 1.0)[0] == pytest.approx(1.5)
+
+
+class TestQAt:
+    @given(seed=st.integers(0, 10_000), b=st.integers(1, 6), d=st.integers(1, 5), m=st.integers(1, 9),
+           hidden=st.integers(1, 8), scale=st.sampled_from([1.0, 40.0]))
+    @settings(max_examples=60, deadline=None)
+    @example(seed=0, b=3, d=2, m=5, hidden=1, scale=1.0)
+    @example(seed=1, b=3, d=2, m=1, hidden=4, scale=40.0)
+    def test_q_at_matches_forward(self, seed, b, d, m, hidden, scale):
+        # the dueling identity at one action per row, to 1e-12 of the streams' size
+        rng = np.random.default_rng(seed)
+        net = QNetwork(d, m, hidden=hidden, rng=rng)
+        for name in ("b1", "bv", "ba"):
+            net.params[name][...] = rng.normal(size=net.params[name].shape)
+        states = scale * rng.normal(size=(b, d))
+        actions = rng.integers(m, size=b)
+        v, a, _ = net.streams(states)
+        size = np.abs(v) + np.abs(a).max(axis=1)
+        want = net.forward(states)[np.arange(b), actions]
+        assert np.all(np.abs(net.q_at(states, actions) - want) <= 1e-12 * size)
 
 
 class TestCQLLoss:

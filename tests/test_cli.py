@@ -1,4 +1,8 @@
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,3 +382,12 @@ class TestEvaluate:
         conf.write_text("\n".join(pairs) + "\n")
         assert main(["evaluate", "--config", str(conf)]) == EXIT_OK
         assert (out / "report.txt").is_file()
+
+
+def test_cli_import_skips_scipy_special():
+    # every `tplrec recommend` process pays for its imports, and a query needs nothing of scipy.special
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = "import sys, tplrec.cli; print('scipy.special' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "False"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tplrec.coldstart import RepresentativeTable, aggregate, build_representatives
+from tplrec.coldstart import RepresentativeTable, aggregate, build_representatives, segment_sums
 from tplrec.data import InteractionDataset, ingest
 from tplrec.embed import EmbeddingTable
 from tplrec.errors import DataError
@@ -193,3 +193,25 @@ class TestPersistence:
         path = tmp_path / "rep.tplr"
         rep.save(path)
         assert path.read_bytes()[:4] == b"TPLR"
+
+
+class TestSegmentSums:
+    @given(seed=st.integers(0, 10_000), n_rows=st.integers(0, 12), d=st.sampled_from([1, 2, 64]))
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_add_at(self, seed, n_rows, d):
+        # signed zeros, tiny and huge magnitudes, and rows with no entries
+        rng = np.random.default_rng(seed)
+        m = 9
+        vectors = rng.normal(size=(m, d)) * 10.0 ** rng.choice([-300, 0, 300], size=(m, 1))
+        vectors[rng.random((m, d)) < 0.3] = -0.0
+        rep = RepresentativeTable(vectors, 0.5, np.ones(m, dtype=bool))
+        rows = np.repeat(np.arange(n_rows), rng.integers(0, 6, size=n_rows))
+        libraries = rng.integers(0, m, size=len(rows))
+        expected = np.zeros((n_rows, d))
+        np.add.at(expected, rows, vectors[libraries])
+        assert segment_sums(rows, libraries, n_rows, rep).tobytes() == expected.tobytes()
+
+    def test_rows_must_be_nondecreasing(self):
+        rep = RepresentativeTable(np.ones((3, 2)), 0.5, np.ones(3, dtype=bool))
+        with pytest.raises(ValueError):
+            segment_sums(np.array([0, 1, 0]), np.array([0, 1, 2]), 2, rep)
