@@ -105,11 +105,10 @@ def segment_sums(rows: np.ndarray, libraries: np.ndarray, n_rows: int, rep: Repr
     if (rows[1:] < rows[:-1]).any():
         raise ValueError("segment_sums needs nondecreasing rows")
     total = np.zeros((n_rows, rep.dim))
-    first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])  # each run of equal rows; [0] if none
-    size = np.diff(first, append=len(rows))
-    longest = np.argsort(-size)
-    first, size = first[longest], size[longest]
-    for j in range(size[0]):
-        at = first[:np.searchsorted(-size, -j)] + j  # the j-th entry of each row with more than j
-        total[rows[at]] += rep.vectors[libraries[at]]
+    count = np.bincount(rows, minlength=n_rows)
+    start = np.cumsum(count) - count
+    longest = np.argsort(-count)
+    for j in range(count.max(initial=0)):
+        live = longest[:np.count_nonzero(count > j)]  # the rows with more than j entries
+        total[live] += rep.vectors[libraries[start[live] + j]]
     return total
