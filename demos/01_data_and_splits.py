@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 
 from tplrec import ingest, popularity, split_interactions, split_query_test, split_users
+from tplrec.data import RARE_THRESHOLD
 from tplrec.synth import planted_communities
 
 ds = planted_communities(n_projects=30, n_libraries=24, n_communities=3,
@@ -25,7 +26,7 @@ print(f"{ds.n_projects} projects, {ds.n_libraries} libraries, "
 pop = popularity(ds)
 print(f"rarest library rate: {pop.rates.min():.3f}")
 print(f"most popular library rate: {pop.rates.max():.3f}")
-print(f"rare libraries (rate < 0.1): {sum(pop.is_rare(i) for i in range(ds.n_libraries))}")
+print(f"rare libraries (rate < {RARE_THRESHOLD}): {int((pop.rates < RARE_THRESHOLD).sum())}")
 
 # user-split folds: each test project is entirely held out
 folds = split_users(ds, fold_count=5, seed=0)

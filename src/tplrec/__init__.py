@@ -48,17 +48,3 @@ from .evaluation import (
 )
 from .synth import head_tail, planted_communities
 
-__all__ = [
-    "AgentConfig", "QNetwork", "ReplayBuffer", "Transition", "cql_loss",
-    "gen_transition", "load_qnetwork", "recommend", "reward",
-    "save_qnetwork", "train_agent",
-    "RepresentativeTable", "aggregate", "build_representatives",
-    "InteractionDataset", "PopularityTable", "ingest", "popularity",
-    "split_interactions", "split_query_test", "split_users",
-    "EmbedConfig", "EmbeddingTable", "build_adjacency", "debiased_contrastive_loss",
-    "propagate", "train_embeddings",
-    "DataError", "NumericError", "ParseError",
-    "MetricsReport", "ProtocolConfig", "coverage_at_k", "epc_at_k",
-    "precision_recall_at_k", "run_protocol",
-    "head_tail", "planted_communities",
-]

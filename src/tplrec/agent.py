@@ -16,7 +16,7 @@ import numpy as np
 from .artifact import Artifact, read_artifact
 # `aggregate` is not called here; perfbench/layers.py wraps it under this module's name.
 from .coldstart import RepresentativeTable, aggregate, segment_sums  # noqa: F401
-from .data import RARE_THRESHOLD, InteractionDataset, PopularityTable, popularity
+from .data import RARE_THRESHOLD, InteractionDataset, PopularityTable, group_ranks, popularity
 from .embed import EmbeddingTable
 from .errors import DataError, NumericError
 from .optim import Adam, cosine_annealed_lr
@@ -374,17 +374,15 @@ class ReplayBuffer:
             self.seq = Transition.concat(self.seq, t)[-cap:]
             self.seq_projects = np.concatenate([self.seq_projects, np.broadcast_to(project, len(t))])[-cap:]
             newest = self.seq_projects[::-1]
-            _, first, which, size = np.unique(newest, return_index=True, return_inverse=True, return_counts=True)
-            # depth: a row's place in the rows stably grouped by project, less its group's start
-            depth = np.argsort(np.argsort(which, kind="stable")) - (np.cumsum(size) - size)[which]
+            _, first, which = np.unique(newest, return_index=True, return_inverse=True)
+            depth = group_ranks(which, np.arange(len(which)))
             self._seq_index = depth[::-1], np.argsort(np.argsort(first))[which][::-1], len(first)
 
     def _quotas(self, batch_size: int) -> dict[str, int]:
-        q = {
-            "rare": int(np.floor(self.mu[0] * batch_size + 0.5)),
-            "seq": int(np.floor(self.mu[2] * batch_size + 0.5)),
-        }
-        q["rand"] = batch_size - q["rare"] - q["seq"]
+        rare = int(np.floor(self.mu[0] * batch_size + 0.5))
+        # rounded apart, the two can exceed the batch (mu (0.5, 0, 0.5), batch 5: 3 + 3)
+        seq = min(int(np.floor(self.mu[2] * batch_size + 0.5)), batch_size - rare)
+        q = {"rare": rare, "seq": seq, "rand": batch_size - rare - seq}
         # empty partitions hand their quota to the random partition
         sizes = {"rare": len(self.rare), "rand": len(self.rand), "seq": len(self.seq)}
         if all(s == 0 for s in sizes.values()):
@@ -539,7 +537,7 @@ def _answer_block(queries: list[list[int]], k: int, net: QNetwork, rep: Represen
     available = allowed.sum(axis=1)
     for n in available[available < k].tolist():
         warnings.warn(f"only {n} recommendable libraries for k={k}; truncating")
-    take = np.minimum(available, k)
+    take = np.minimum(available, min(k, len(rep.has_rep)))  # k may exceed int64
 
     picks: list[list[tuple[int, float]]] = [[] for _ in range(b)]
     live = np.arange(b)  # block rows still picking; the arrays below hold only theirs

@@ -1,14 +1,15 @@
 """Command-line driver: ingest, train, recommend, evaluate.
 
 Runs are driven by a flat key-value config file with ``--key value``
-command-line overrides. Exit codes: 0 success, 1 usage, 2 data error,
-3 numeric failure.
+command-line overrides. Exit codes: 0 success, 1 usage, 2 data error
+(including a refused allocation), 3 numeric failure.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import sys
+import warnings
 from dataclasses import field, fields, make_dataclass
 from pathlib import Path
 
@@ -164,11 +165,7 @@ def cmd_ingest(args) -> int:
     counts = pop.counts
     print(f"libraries with a single occurrence: {int((counts == 1).sum())}")
     print("long-tail histogram (occurrences: libraries):")
-    edges = [1, 2, 10, 50, 200]
-    labels = ["1", "2-9", "10-49", "50-199", ">=200"]
-    lows = edges
-    highs = [2, 10, 50, 200, np.inf]
-    for label, lo, hi in zip(labels, lows, highs):
+    for label, lo, hi in [("1", 1, 2), ("2-9", 2, 10), ("10-49", 10, 50), ("50-199", 50, 200), (">=200", 200, np.inf)]:
         n = int(((counts >= lo) & (counts < hi)).sum())
         print(f"  {label:>7}: {n}")
     return EXIT_OK
@@ -301,14 +298,18 @@ def main(argv: list[str] | None = None) -> int:
             args.overrides = extra
         elif extra:
             raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
-        return args.func(args)
+        # The non-finite checks report divergence, so NumPy's floating-point
+        # warnings would only repeat it; a library warning prints as one line.
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_, **__: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, MemoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericError, FloatingPointError) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .artifact import Artifact, read_artifact
-from .data import InteractionDataset
+from .data import InteractionDataset, popularity
 from .embed import EmbeddingTable
 from .errors import DataError
 
@@ -72,7 +72,7 @@ def build_representatives(table: EmbeddingTable, train: InteractionDataset, blen
     users, libs = train.interactions.T
     weights = np.maximum(np.einsum("ed,ed->e", table.projects[users], table.libraries[libs]), 0.0)
     total = np.bincount(libs, weights=weights, minlength=m)[libs]
-    degree = np.bincount(libs, minlength=m)
+    degree = popularity(train).counts
     share = np.where(total > 0.0, weights / np.where(total > 0.0, total, 1.0), 1.0 / degree[libs])
     user_term = sp.csr_matrix((share, (libs, users)), shape=(m, n)) @ table.projects
     has_rep = degree > 0

@@ -125,9 +125,6 @@ class PopularityTable:
     counts: np.ndarray
     rates: np.ndarray
 
-    def is_rare(self, i: int) -> bool:
-        return self.rates[i] < RARE_THRESHOLD
-
 
 def popularity(train: InteractionDataset) -> PopularityTable:
     """rate(i) = |projects that used i| / N over the training split."""

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .artifact import Artifact, read_artifact
-from .data import InteractionDataset, group_ranks
+from .data import InteractionDataset, group_ranks, popularity
 from .errors import DataError, NumericError
 from .optim import Adam
 
@@ -105,12 +105,9 @@ def build_adjacency(ds: InteractionDataset) -> sp.csr_matrix:
     """
     if ds.n_interactions == 0:
         raise DataError("cannot build adjacency for empty dataset")
-    return _adjacency_from_edges(ds.n_projects, ds.n_libraries, ds.interactions)
-
-
-def _adjacency_from_edges(n: int, m: int, edges: np.ndarray) -> sp.csr_matrix:
-    u = edges[:, 0]
-    i = edges[:, 1] + n
+    n, m = ds.n_projects, ds.n_libraries
+    u = ds.interactions[:, 0]
+    i = ds.interactions[:, 1] + n
     deg = np.bincount(np.concatenate([u, i]), minlength=n + m).astype(np.float64)
     vals = 1.0 / np.sqrt(deg[u] * deg[i])
     rows = np.concatenate([u, i])
@@ -259,9 +256,10 @@ def train_embeddings(train: InteractionDataset, cfg: EmbedConfig) -> EmbedResult
     rng = np.random.default_rng(cfg.seed)
 
     train_edges, validation = _holdout_validation(rng, train, VAL_FRACTION)
+    fit = InteractionDataset(train.projects, train.libraries, train_edges)
 
-    adj = _adjacency_from_edges(n, m, train_edges)
-    rates = np.bincount(train_edges[:, 1], minlength=m) / float(n)
+    adj = build_adjacency(fit)
+    rates = popularity(fit).rates
     keys = np.sort(train_edges[:, 0] * m + train_edges[:, 1])
     sample_negatives = _negative_sampler(keys, n, m)
 

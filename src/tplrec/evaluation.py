@@ -149,18 +149,6 @@ class ProtocolConfig:
             raise DataError(f"blend must be in [0, 1], got {self.blend}")
 
 
-def _baseline_recommend(policy: str, query, allowed: np.ndarray, k: int,
-                        pop: PopularityTable, rng) -> list[int]:
-    mask = allowed.copy()
-    mask[[int(i) for i in query]] = False
-    idx = np.flatnonzero(mask)
-    k = min(k, len(idx))
-    if policy == "random":
-        return [int(a) for a in rng.choice(idx, size=k, replace=False)]
-    order = idx[np.lexsort((idx, -pop.counts[idx]))]
-    return [int(a) for a in order[:k]]
-
-
 def _fold_metrics(rec_lists, truths, pop, m, k) -> dict[str, float]:
     pr = [precision_recall_at_k(rec, truth, k) for rec, truth in zip(rec_lists, truths)]
     return {
@@ -175,14 +163,24 @@ def _recommender(train_ds: InteractionDataset, seen: np.ndarray, pop: Popularity
                  cfg: ProtocolConfig, fold: int):
     """The fold's policy, trained on `train_ds`, as a function from a list of
     queries to their top-k lists; the agent answers them in lockstep. The
-    baselines recommend only libraries in the `seen` mask."""
+    baselines rank the `seen` libraries once and pick outside each query."""
     if cfg.policy == "agent":
         emb = train_embeddings(train_ds, replace(cfg.embed, seed=cfg.embed.seed + fold))
         rep = build_representatives(emb.table, train_ds, cfg.blend)
         net, _ = train_agent(train_ds, emb.table, rep, replace(cfg.agent, seed=cfg.agent.seed + fold))
         return lambda queries: recommend(queries, cfg.k, net, rep, mode=cfg.mode)
     rng = np.random.default_rng(cfg.seed * 104729 + fold)
-    return lambda queries: [_baseline_recommend(cfg.policy, q, seen, cfg.k, pop, rng) for q in queries]
+    ranked = np.flatnonzero(seen)
+    if cfg.policy == "popularity":
+        ranked = ranked[np.argsort(-pop.counts[ranked], kind="stable")]
+
+    def answer(query) -> list[int]:
+        pool = ranked[~np.isin(ranked, query)]
+        if cfg.policy == "random":
+            pool = rng.choice(pool, size=min(cfg.k, len(pool)), replace=False)
+        return pool[:cfg.k].tolist()
+
+    return lambda queries: [answer(q) for q in queries]
 
 
 def _coldstart_folds(ds: InteractionDataset, cfg: ProtocolConfig):

@@ -418,6 +418,19 @@ class TestReplayBuffer:
         _, tags = buf.sample(10)
         assert tags.count("rare") == 2 and tags.count("rand") == 5 and tags.count("seq") == 3
 
+    @given(rare=st.integers(0, 20), rand=st.integers(0, 20), batch=st.integers(1, 64))
+    @example(rare=10, rand=0, batch=5)  # mu (0.5, 0, 0.5) rounds rare and seq up to 3 each
+    @settings(max_examples=60, deadline=None)
+    def test_quotas_fill_the_batch(self, rare, rand, batch):
+        rand = min(rand, 20 - rare)
+        buf, _ = self.make_buffer(mu=(rare / 20, rand / 20, (20 - rare - rand) / 20))
+        for j in range(30):
+            buf.insert(self.trans(j % 3), project=j % 4)  # action 0 is rare
+        quotas = buf._quotas(batch)
+        assert min(quotas.values()) >= 0 and sum(quotas.values()) == batch, quotas
+        rows, tags = buf.sample(batch)
+        assert len(rows) == len(tags) == batch
+
     def test_empty_rare_quota_reassigned_to_rand(self):
         buf, _ = self.make_buffer()
         for _ in range(20):

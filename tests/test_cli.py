@@ -2,12 +2,13 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tplrec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, UsageError, _Libraries, load_config, main
+from tplrec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig, UsageError, _Libraries, load_config, main
 from tplrec.synth import head_tail, planted_communities
 
 
@@ -344,6 +345,64 @@ class TestTrainRecommend:
         query = ds.libraries[ds.by_project[0][0]]
         self.assert_one_data_error(["recommend", "--model-dir", str(out), "--query", query], capsys,
                                    "unsupported version 1", "qnet.tplq")
+
+
+class TestOneStderrLine:
+    """A failure prints one line and its exit code; a warning prints as one line."""
+
+    @pytest.fixture(autouse=True)
+    def plain_warnings(self, monkeypatch):
+        # print warnings as Python does outside a test runner, which records them instead
+        def show(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+        monkeypatch.setattr(warnings, "showwarning", show)
+
+    def run(self, argv, capsys, code):
+        capsys.readouterr()
+        assert main(argv) == code
+        return capsys.readouterr()
+
+    def train(self, tmp_path, n_libraries=24, extra=()):
+        ds = planted_communities(n_projects=30, n_libraries=n_libraries, n_communities=2,
+                                 interactions_per_project=5, noise=0.1, seed=7)
+        path = tmp_path / "data.tsv"
+        path.write_text("".join(f"{ds.projects[u]}\t{ds.libraries[i]}\n" for u, i in ds.interactions))
+        out = tmp_path / "model"
+        argv = ["train", "--dataset", str(path), "--output", str(out), *FAST_TRAIN, *extra]
+        return argv, out, ds
+
+    @pytest.mark.parametrize("key", ["--agent-lr", "--embed-lr"])
+    def test_divergence_is_one_numeric_line(self, tmp_path, capsys, key):
+        argv, _, _ = self.train(tmp_path, extra=[key, "1e300"])
+        err = self.run(argv, capsys, EXIT_NUMERIC).err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure:"), err
+
+    def test_refused_allocation_is_one_data_line(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 37.3 GiB for an array with shape (100000100, 100000000)")
+
+        monkeypatch.setattr("tplrec.cli.train_embeddings", refuse)
+        argv, _, _ = self.train(tmp_path, extra=["--dim", "100000000"])
+        err = self.run(argv, capsys, EXIT_DATA).err.splitlines()
+        assert err == ["data error: Unable to allocate 37.3 GiB for an array with shape (100000100, 100000000)"]
+
+    @pytest.mark.parametrize("k", ["1000", "99999999999999999999"])
+    def test_truncated_k_warns_in_one_line(self, tmp_path, capsys, k):
+        argv, out, ds = self.train(tmp_path, n_libraries=20)
+        assert main(argv) == EXIT_OK
+        query = ds.libraries[ds.by_project[0][0]]
+        result = self.run(["recommend", "--model-dir", str(out), "--query", query, "--k", k], capsys, EXIT_OK)
+        lines = result.out.splitlines()
+        assert 0 < len(lines) < 20
+        assert result.err.splitlines() == [f"warning: only {len(lines)} recommendable libraries for k={k}; truncating"]
+
+    def test_quotas_that_round_past_the_batch(self, dataset_file, tmp_path, capsys):
+        # mu (0.5, 0, 0.5) of a batch of 5 rounds to 3 rare and 3 sequential rows
+        path, _ = dataset_file
+        argv = ["evaluate", "--dataset", str(path), "--output", str(tmp_path / "eval"), *FAST_EVAL,
+                "--mu_rare", "0.5", "--mu_rand", "0", "--mu_seq", "0.5", "--agent_batch", "5"]
+        assert self.run(argv, capsys, EXIT_OK).err == ""
 
 
 class TestEvaluate:

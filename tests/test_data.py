@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from tplrec.data import (
+    RARE_THRESHOLD,
     InteractionDataset,
     ingest,
     popularity,
@@ -138,7 +139,7 @@ class TestPopularity:
         pop = popularity(ds)
         niche = ds.libraries.index("niche")
         assert pop.rates[niche] == pytest.approx(0.1)
-        assert not pop.is_rare(niche)
+        assert not pop.rates[niche] < RARE_THRESHOLD
 
     def test_universal_library_is_popular(self):
         ds = toy([f"p{j}\tl" for j in range(5)])

@@ -244,6 +244,32 @@ class TestProtocols:
         assert a.fold_metrics != b.fold_metrics
 
 
+class TestBaselines:
+    # library counts 3, 1, 3, 0, 2, 1 over four projects; library 3 is never seen
+    TRAIN = InteractionDataset(("p0", "p1", "p2", "p3"), tuple(f"l{i}" for i in range(6)),
+                               [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 2), (3, 2), (2, 4), (3, 4), (3, 5)])
+
+    def picks(self, policy, queries, k, seed=0, fold=0):
+        pop = popularity(self.TRAIN)
+        cfg = ProtocolConfig(policy=policy, k=k, seed=seed)
+        return tplrec.evaluation._recommender(self.TRAIN, pop.counts > 0, pop, cfg, fold)(queries)
+
+    def test_popularity_by_count_then_index_without_the_query(self):
+        queries = [np.array([2]), np.array([0, 4]), np.array([1])]
+        assert self.picks("popularity", queries, 3) == [[0, 4, 1], [2, 1, 5], [0, 2, 4]]
+        assert self.picks("popularity", queries, 10) == [[0, 4, 1, 5], [2, 1, 5], [0, 2, 4, 5]]
+
+    def test_random_is_distinct_seen_non_query_and_seeded(self):
+        queries = [np.array([2]), np.array([0, 4]), np.array([1])] * 20
+        picks = self.picks("random", queries, 3)
+        for q, rec in zip(queries, picks):
+            assert len(rec) == len(set(rec)) == 3
+            assert not set(rec) & ({3} | set(q.tolist()))
+        assert self.picks("random", queries, 3) == picks
+        assert self.picks("random", queries, 3, fold=1) != picks
+        assert [len(r) for r in self.picks("random", queries[:2], 10)] == [4, 3]
+
+
 def fail_training(monkeypatch, error_for_seed):
     """Make fold training raise `error_for_seed(embed seed)` where it returns one."""
     real = tplrec.evaluation.train_embeddings
