@@ -95,6 +95,9 @@ class AgentConfig:
         for name in ("epochs", "batch_size", "hidden", "target_sync", "capacity", "transitions_per_project"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("batch_size", "hidden", "transitions_per_project"):  # array sizes, bound as in EmbedConfig
+            if getattr(self, name) > 2**31 - 1:
+                raise ValueError(f"{name} must be at most 2**31 - 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -191,10 +194,6 @@ class QNetwork:
 
     def clone(self) -> "QNetwork":
         return QNetwork.from_params({k: v.copy() for k, v in self.params.items()})
-
-    def load_params(self, params: dict[str, np.ndarray]) -> None:
-        for k in self.params:
-            self.params[k][...] = params[k]
 
 
 def _qnet_layout(d: int, h: int, m: int):
@@ -483,7 +482,7 @@ def train_agent(train: InteractionDataset, table: EmbeddingTable, rep: Represent
             opt.step(net.params, grads)
             step += 1
             if step % cfg.target_sync == 0:
-                target.load_params(net.params)
+                target = net.clone()
             if step % 10 == 0 or step == 1:
                 mean_q = float(net.forward(batch.state[:16]).mean())
                 stats.log.append((epoch, step, loss, opt.lr, mean_q))
@@ -528,9 +527,8 @@ def _answer_block(queries: list[list[int]], k: int, net: QNetwork, rep: Represen
     count = np.array([len(q) for q in queries])
     rows = np.repeat(np.arange(b), count)
     cols = np.fromiter(chain.from_iterable(queries), dtype=np.int64, count=len(rows))
-    # The state is total / count: `aggregate` divides this same row sum (see
-    # `segment_sums`), so adding each pick's row keeps every state bitwise
-    # equal to aggregate(known).
+    # The state is total / count, as in `aggregate`; adding each pick's row
+    # keeps every state bitwise equal to aggregate(known).
     total = segment_sums(rows, cols, b, rep)
     allowed = np.repeat(rep.has_rep[None, :], b, axis=0)
     allowed[rows, cols] = False

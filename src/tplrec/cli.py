@@ -212,7 +212,7 @@ def cmd_recommend(args) -> int:
     query = [libraries.index(q) for q in query_ids]
     unknown = [q for q, j in zip(query_ids, query) if j is None]
     if unknown:
-        raise DataError(f"unknown library ids: {', '.join(unknown)}")
+        raise DataError(f"unknown library ids: {', '.join(map(repr, unknown))}")
 
     net = load_qnetwork(model_dir / "qnet.tplq")
     rep = RepresentativeTable.load(model_dir / "representatives.tplr")

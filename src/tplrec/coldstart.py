@@ -81,34 +81,21 @@ def build_representatives(table: EmbeddingTable, train: InteractionDataset, blen
 
 
 def aggregate(libraries, rep: RepresentativeTable) -> np.ndarray:
-    """Mean of the representatives of the given nonempty library set."""
-    idx = [int(i) for i in libraries]
-    if not idx:
+    """Mean of the representatives of the given nonempty library set: one
+    row of `segment_sums` over its count."""
+    idx = np.array([int(i) for i in libraries], dtype=np.int64)
+    if not len(idx):
         raise DataError("cannot aggregate an empty library set")
-    missing = [i for i in idx if not rep.has_rep[i]]
-    if missing:
-        raise DataError(f"libraries without representatives: {missing[:5]}")
-    return rep.vectors[idx].mean(axis=0)
+    return segment_sums(np.zeros(len(idx), dtype=np.int64), idx, 1, rep)[0] / len(idx)
 
 
 def segment_sums(rows: np.ndarray, libraries: np.ndarray, n_rows: int, rep: RepresentativeTable) -> np.ndarray:
     """(n_rows, d) sums of the representatives of `libraries`, each added to
-    its entry of `rows` in order. `rows` must be nondecreasing, so each
-    row's entries are consecutive; the sums add one position of every row
-    at a time, which is `np.add.at`'s order within each row. For d >= 2 a
-    row is bitwise the `rep.vectors[q].sum(axis=0)` that `aggregate`
-    divides: NumPy sums axis 0 row by row (one column it sums pairwise).
-    Raises DataError if a library has no representative."""
+    its entry of `rows` in order. Raises DataError if a library has no
+    representative."""
     missing = ~rep.has_rep[libraries]
     if missing.any():
         raise DataError(f"libraries without representatives: {np.unique(libraries[missing])[:5].tolist()}")
-    if (rows[1:] < rows[:-1]).any():
-        raise ValueError("segment_sums needs nondecreasing rows")
     total = np.zeros((n_rows, rep.dim))
-    count = np.bincount(rows, minlength=n_rows)
-    start = np.cumsum(count) - count
-    longest = np.argsort(-count)
-    for j in range(count.max(initial=0)):
-        live = longest[:np.count_nonzero(count > j)]  # the rows with more than j entries
-        total[live] += rep.vectors[libraries[start[live] + j]]
+    np.add.at(total, rows, rep.vectors[libraries])
     return total

@@ -145,13 +145,8 @@ def split_users(ds: InteractionDataset, fold_count: int, seed: int = 0) -> list[
     if not 2 <= fold_count <= n:
         raise DataError(f"fold_count must be in [2, {n}] for {n} projects, got {fold_count}")
     perm = np.random.default_rng(seed).permutation(n)
-    groups = np.array_split(perm, fold_count)
-    folds = []
-    for f in range(fold_count):
-        test = np.sort(groups[f])
-        train = np.sort(np.concatenate([groups[g] for g in range(fold_count) if g != f]))
-        folds.append(UserFold(train_projects=train, test_projects=test))
-    return folds
+    tests = [np.sort(g) for g in np.array_split(perm, fold_count)]
+    return [UserFold(train_projects=np.setdiff1d(np.arange(n), t), test_projects=t) for t in tests]
 
 
 def restrict(ds: InteractionDataset, project_indices) -> InteractionDataset:

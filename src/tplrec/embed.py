@@ -54,6 +54,10 @@ class EmbedConfig:
         for name in ("dim", "batch_size", "negatives", "max_epochs", "learning_rate"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        # Array sizes: above this bound NumPy raises ValueError or OverflowError, not MemoryError.
+        for name in ("dim", "negatives"):
+            if getattr(self, name) > 2**31 - 1:
+                raise ValueError(f"{name} must be at most 2**31 - 1, got {getattr(self, name)}")
         if not 0 <= self.l2 < np.inf:
             raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
         if self.seed < 0:

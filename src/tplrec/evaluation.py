@@ -209,13 +209,14 @@ def run_protocol(ds: InteractionDataset, cfg: ProtocolConfig) -> MetricsReport:
     truth edges. Libraries the training set never uses are dropped from
     both, and a test project whose query or truth is then empty is
     skipped. A fold whose training fails or that has no project left is
-    reported incomplete. If no fold completes, the last training error is
-    raised, or DataError when no fold had a project to evaluate.
+    reported incomplete, and each training failure is warned of. If no
+    fold completes, the last training error is raised instead, or
+    DataError when no fold had a project to evaluate.
     """
     start = time.monotonic()
     folds = _interaction_folds if cfg.protocol == "interaction-split" else _coldstart_folds
     report = MetricsReport(protocol=cfg.protocol, k=cfg.k, seed=cfg.seed)
-    failure: Exception | None = None
+    failed: list[tuple[int, Exception]] = []
     for f, (train_ds, test, query, truth) in enumerate(folds(ds, cfg)):
         pop = popularity(train_ds)
         seen = pop.counts > 0
@@ -224,14 +225,12 @@ def run_protocol(ds: InteractionDataset, cfg: ProtocolConfig) -> MetricsReport:
         query, truth = (rows(np.searchsorted(test, e[:, 0]), e[:, 1], len(test)) for e in (query, truth))
         evaluated = [(q, t) for q, t in zip(query, truth) if len(q) and len(t)]
         skipped = len(test) - len(evaluated)
-        if not evaluated:
-            warnings.warn(f"fold {f} has no project to evaluate")
-        else:
+        if evaluated:
             try:
                 policy = _recommender(train_ds, seen, pop, cfg, f)
             except (DataError, NumericError) as exc:
-                warnings.warn(f"fold {f} failed: {exc}")
-                failure, evaluated, skipped = exc, [], 0
+                failed.append((f, exc))
+                evaluated, skipped = [], 0
         if not evaluated:
             report.fold_metrics.append({n: 0.0 for n in MetricsReport.METRIC_NAMES})
             report.skipped.append(skipped)
@@ -242,6 +241,8 @@ def run_protocol(ds: InteractionDataset, cfg: ProtocolConfig) -> MetricsReport:
         report.fold_metrics.append(_fold_metrics(rec_lists, truths, pop, ds.n_libraries, cfg.k))
         report.skipped.append(skipped)
     if len(report.incomplete) == len(report.fold_metrics):
-        raise failure or DataError(f"{cfg.protocol} evaluation produced no test projects")
+        raise failed[-1][1] if failed else DataError(f"{cfg.protocol} evaluation produced no test projects")
+    for f, exc in failed:
+        warnings.warn(f"fold {f} failed: {exc}")
     report.elapsed = time.monotonic() - start
     return report

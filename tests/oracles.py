@@ -35,6 +35,12 @@ def rows_loop(pairs, count, key):
     return [sorted(l) for l in lists]
 
 
+def aggregate_mean(libraries, rep):
+    """The mean of a library set's representatives as one NumPy mean over
+    their rows (for d == 1 NumPy sums the column pairwise)."""
+    return rep.vectors[[int(i) for i in libraries]].mean(axis=0)
+
+
 def representative_loop(i, table, train, blend):
     """Library i's representative from its users one by one: the clamped
     cosine-weighted mean of their embeddings (the plain mean when every

@@ -84,6 +84,12 @@ BAD_VALUES = [
     ("--capacity", "0"),
     ("--folds", "1"),
     ("--seed", "-1"),
+    # array sizes above 2**31 - 1, which NumPy refused with a traceback
+    ("--dim", "2147483648"),
+    ("--negatives", "4611686018427387904"),
+    ("--hidden", "99999999999999999999"),
+    ("--agent-batch", "99999999999999999999"),
+    ("--transitions-per-project", "4611686018427387904"),
 ]
 
 
@@ -377,6 +383,21 @@ class TestOneStderrLine:
         argv, _, _ = self.train(tmp_path, extra=[key, "1e300"])
         err = self.run(argv, capsys, EXIT_NUMERIC).err.splitlines()
         assert len(err) == 1 and err[0].startswith("numeric failure:"), err
+
+    @pytest.mark.parametrize("key", ["--agent-lr", "--embed-lr"])
+    def test_evaluate_divergence_is_one_numeric_line(self, tmp_path, capsys, key):
+        # every fold fails, so no fold's warning comes before the failure
+        argv, _, _ = self.train(tmp_path, extra=[key, "1e300", "--folds", "2"])
+        err = self.run(["evaluate", *argv[1:]], capsys, EXIT_NUMERIC).err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure:"), err
+
+    def test_evaluate_without_project_is_one_data_line(self, tmp_path, capsys):
+        # every project has one library, so no fold has a test project to evaluate
+        path = tmp_path / "data.tsv"
+        path.write_text("".join(f"p{u}\tl{u % 3}\n" for u in range(10)))
+        argv = ["evaluate", "--dataset", str(path), "--output", str(tmp_path / "eval"), *FAST_EVAL]
+        err = self.run(argv, capsys, EXIT_DATA).err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:"), err
 
     def test_refused_allocation_is_one_data_line(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):

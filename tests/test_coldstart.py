@@ -8,7 +8,7 @@ from tplrec.data import InteractionDataset, ingest
 from tplrec.embed import EmbeddingTable
 from tplrec.errors import DataError
 
-from oracles import representative_loop
+from oracles import aggregate_mean, representative_loop
 
 
 def unit_rows(rng, n, d):
@@ -139,6 +139,23 @@ class TestAggregate:
             incr = (n * aggregate(base, rep) + rep.vectors[extra]) / (n + 1)
             assert np.allclose(aggregate(base + [extra], rep), incr, atol=1e-9)
 
+    @given(seed=st.integers(0, 10_000), size=st.integers(1, 40), d=st.sampled_from([1, 2, 64]))
+    @settings(max_examples=60, deadline=None)
+    def test_mean_of_representatives(self, seed, size, d):
+        # signed zeros and repeated libraries; NumPy's mean sums a single column
+        # pairwise, so only there may the last bits differ
+        rng = np.random.default_rng(seed)
+        m = 9
+        vectors = rng.normal(size=(m, d))
+        vectors[rng.random((m, d)) < 0.3] = -0.0
+        rep = RepresentativeTable(vectors, 0.5, np.ones(m, dtype=bool))
+        libraries = rng.integers(0, m, size=size).tolist()
+        got, want = aggregate(libraries, rep), aggregate_mean(libraries, rep)
+        if d >= 2:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
     def test_empty_set_rejected(self):
         ds, table = random_setup(8)
         rep = build_representatives(table, ds, 0.5)
@@ -210,8 +227,3 @@ class TestSegmentSums:
         expected = np.zeros((n_rows, d))
         np.add.at(expected, rows, vectors[libraries])
         assert segment_sums(rows, libraries, n_rows, rep).tobytes() == expected.tobytes()
-
-    def test_rows_must_be_nondecreasing(self):
-        rep = RepresentativeTable(np.ones((3, 2)), 0.5, np.ones(3, dtype=bool))
-        with pytest.raises(ValueError):
-            segment_sums(np.array([0, 1, 0]), np.array([0, 1, 2]), 2, rep)

@@ -310,11 +310,11 @@ class TestFoldFailures:
     @pytest.mark.parametrize("protocol", ["coldstart-30", "interaction-split"])
     def test_every_fold_failing_raises(self, monkeypatch, protocol):
         fail_training(monkeypatch, lambda seed: NumericError("diverged"))
-        with pytest.raises(NumericError), pytest.warns(UserWarning):
+        with pytest.raises(NumericError):
             run_protocol(planted_communities(**SMALL), fast_cfg(protocol=protocol))
 
     def test_no_project_to_evaluate_raises(self):
         # every project has one library, so no test project splits into query and truth
         ds = ingest([f"p{u}\tl{u % 3}" for u in range(8)])
-        with pytest.raises(DataError, match="no test projects"), pytest.warns(UserWarning):
+        with pytest.raises(DataError, match="no test projects"):
             run_protocol(ds, fast_cfg(policy="popularity"))
