@@ -3,17 +3,14 @@ Q-learning objective, and the popularity-aware partitioned replay buffer.
 """
 from __future__ import annotations
 
-import csv
-import io
 import numbers
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
-from .artifact import Artifact, read_artifact
+from .artifact import Artifact, read_artifact, write_csv
 # `aggregate` is not called here; perfbench/layers.py wraps it under this module's name.
 from .coldstart import RepresentativeTable, aggregate, segment_sums  # noqa: F401
 from .data import RARE_THRESHOLD, InteractionDataset, PopularityTable, group_ranks, popularity
@@ -127,8 +124,10 @@ class QNetwork:
         }
 
     def _hidden(self, states: np.ndarray):
-        """The (states, z, h) of a batch of states: pre-activations z and ReLU h."""
-        states = np.atleast_2d(states)
+        """The (states, z, h) of a batch of states: pre-activations z and ReLU h.
+        The network computes in its parameters' dtype: float64 when trained,
+        float32 when loaded from an artifact."""
+        states = np.atleast_2d(states).astype(self.params["w1"].dtype, copy=False)
         z = states @ self.params["w1"].T + self.params["b1"]
         return states, z, np.maximum(z, 0.0)
 
@@ -214,8 +213,10 @@ def save_qnetwork(path, net: QNetwork, model_id: str | None = None) -> None:
 
 
 def load_qnetwork(path) -> QNetwork:
+    """The network of an artifact, holding its float32 arrays: read-only
+    views of the file's bytes, so it scores in float32."""
     model_id, arrays = read_artifact(path, _MAGIC_Q, _qnet_layout)
-    net = QNetwork.from_params({name: a.astype(np.float64) for name, a in zip(_QNET_PARAMS, arrays)})
+    net = QNetwork.from_params(dict(zip(_QNET_PARAMS, arrays)))
     net.model_id = model_id
     return net
 
@@ -435,14 +436,8 @@ class AgentStats:
 
     def write_curve(self, path) -> bytes:
         """Write the log as CSV and return the bytes written."""
-        text = io.StringIO(newline="")
-        writer = csv.writer(text)
-        writer.writerow(["epoch", "step", "loss", "lr", "mean_q"])
-        for row in self.log:
-            writer.writerow([row[0], row[1], f"{row[2]:.6f}", f"{row[3]:.8f}", f"{row[4]:.6f}"])
-        data = text.getvalue().encode()
-        Path(path).write_bytes(data)
-        return data
+        return write_csv(path, [["epoch", "step", "loss", "lr", "mean_q"]] + [
+            [row[0], row[1], f"{row[2]:.6f}", f"{row[3]:.8f}", f"{row[4]:.6f}"] for row in self.log])
 
 
 def train_agent(train: InteractionDataset, table: EmbeddingTable, rep: RepresentativeTable,

@@ -7,11 +7,14 @@ back, each row-major in its stored dtype. The dimensions fix every
 array's shape, so the header implies the file's length. `tplrec train`
 stamps one model id, a digest of all its artifacts' payloads, into
 every artifact it writes, so a reader can tell whether files come from
-the same training run without hashing them.
+the same training run without hashing them. The training curves beside
+them are CSV (`write_csv`).
 """
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,3 +95,12 @@ def read_artifact(path, magic: bytes, layout) -> tuple[str, list[np.ndarray]]:
         arrays.append(array)
         off += size
     return model_id.hex(), arrays
+
+
+def write_csv(path, rows) -> bytes:
+    """Write rows (lists of fields) as CSV and return the bytes written."""
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    data = text.getvalue().encode()
+    Path(path).write_bytes(data)
+    return data

@@ -189,6 +189,7 @@ def cmd_train(args) -> int:
     model_id = model_id_of(*artifacts.values())
     written = {name: art.write(out / name, model_id) for name, art in artifacts.items()}
     written["curve.csv"] = stats.write_curve(out / "curve.csv")
+    written["embed_curve.csv"] = emb.write_curve(out / "embed_curve.csv")
     written["vocab.tsv"] = _write_vocab(out / "vocab.tsv", ds, model_id)
 
     manifest = _config_lines(cfg)

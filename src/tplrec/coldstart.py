@@ -48,13 +48,14 @@ class RepresentativeTable:
 
     @classmethod
     def load(cls, path) -> "RepresentativeTable":
+        """The table of an artifact, its vectors the file's float32 values;
+        states summed from them are float64, as from a float64 table."""
         model_id, (_, vectors, blend, mask) = read_artifact(path, _MAGIC_REP, lambda n, m, d: [
             ((n, d), "<f4"), ((m, d), "<f4"), ((1,), "<f4"), ((m,), np.uint8),
         ])
         if (mask > 1).any():
             raise DataError(f"{path}: availability mask byte {int(mask.max())} is neither 0 nor 1")
-        return cls(vectors=vectors.astype(np.float64), blend=float(blend[0]), has_rep=mask == 1,
-                   model_id=model_id)
+        return cls(vectors=vectors, blend=float(blend[0]), has_rep=mask == 1, model_id=model_id)
 
 
 def build_representatives(table: EmbeddingTable, train: InteractionDataset, blend: float) -> RepresentativeTable:
@@ -90,9 +91,9 @@ def aggregate(libraries, rep: RepresentativeTable) -> np.ndarray:
 
 
 def segment_sums(rows: np.ndarray, libraries: np.ndarray, n_rows: int, rep: RepresentativeTable) -> np.ndarray:
-    """(n_rows, d) sums of the representatives of `libraries`, each added to
-    its entry of `rows` in order. Raises DataError if a library has no
-    representative."""
+    """(n_rows, d) float64 sums of the representatives of `libraries`, each
+    added to its entry of `rows` in order. Raises DataError if a library
+    has no representative."""
     missing = ~rep.has_rep[libraries]
     if missing.any():
         raise DataError(f"libraries without representatives: {np.unique(libraries[missing])[:5].tolist()}")

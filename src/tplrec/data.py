@@ -76,10 +76,11 @@ def rows(keys: np.ndarray, values: np.ndarray, count: int) -> tuple[np.ndarray, 
 
 
 def read_lines(path: Path) -> list[str]:
-    """The lines of a UTF-8 text file; a DataError naming the file and the
-    byte offset of the first bad byte if it is not UTF-8."""
+    r"""The lines of a UTF-8 text file, ended by `\n` or `\r\n` alone; a
+    DataError naming the file and the byte offset of the first bad byte
+    if it is not UTF-8."""
     try:
-        return path.read_bytes().decode("utf-8").splitlines()
+        return path.read_bytes().decode("utf-8").replace("\r\n", "\n").split("\n")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: bad byte at offset {exc.start}") from None
 

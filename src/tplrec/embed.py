@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .artifact import Artifact, read_artifact
+from .artifact import Artifact, read_artifact, write_csv
 from .data import InteractionDataset, group_ranks, popularity
 from .errors import DataError, NumericError
 from .optim import Adam
@@ -243,6 +243,12 @@ class EmbedResult:
     history: list = field(default_factory=list)
     best_epoch: int = -1
     best_recall: float = 0.0
+
+    def write_curve(self, path) -> bytes:
+        """Write the history as CSV, then a `best_epoch` row, and return the bytes written."""
+        return write_csv(path, [["epoch", "loss", "val_recall"]] + [
+            [epoch, f"{loss:.6f}", f"{recall:.6f}"] for epoch, loss, recall in self.history
+        ] + [["best_epoch", self.best_epoch]])
 
 
 def train_embeddings(train: InteractionDataset, cfg: EmbedConfig) -> EmbedResult:

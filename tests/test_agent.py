@@ -801,3 +801,70 @@ class TestQNetworkPersistence:
         path.write_bytes(b"XXXX" + bytes(20))
         with pytest.raises(DataError):
             load_qnetwork(path)
+
+
+class TestServingPrecision:
+    """A loaded model scores in the float32 its artifacts store."""
+
+    def saved_model(self, tmp_path, seed=50, d=16, m=200, hidden=64):
+        rng = np.random.default_rng(seed)
+        has_rep = rng.random(m) < 0.9
+        rep = RepresentativeTable(vectors=np.where(has_rep[:, None], unit_rows(rng, m, d), 0.0), blend=0.5,
+                                  has_rep=has_rep)
+        net = QNetwork(d, m, hidden=hidden, rng=rng)
+        save_qnetwork(tmp_path / "q.tplq", net)
+        rep.save(tmp_path / "r.tplr")
+        return net, rep, load_qnetwork(tmp_path / "q.tplq"), RepresentativeTable.load(tmp_path / "r.tplr"), rng
+
+    def queries(self, rng, rep, count):
+        avail = np.flatnonzero(rep.has_rep)
+        return [rng.choice(avail, size=int(rng.integers(1, 6)), replace=False).tolist() for _ in range(count)]
+
+    def test_params_are_read_only_float32(self, tmp_path):
+        _, _, loaded, _, _ = self.saved_model(tmp_path)
+        for name, p in loaded.params.items():
+            assert p.dtype == np.float32 and not p.flags.writeable, name
+
+    def test_forward_within_float32_rounding(self, tmp_path):
+        net, _, loaded, _, rng = self.saved_model(tmp_path)
+        states = rng.normal(size=(64, net.state_dim))
+        want, got = net.forward(states), loaded.forward(states)
+        assert got.dtype == np.float32
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+    def test_picks_equal_where_the_float64_gap_is_clear(self, tmp_path):
+        net, rep, loaded, loaded_rep, rng = self.saved_model(tmp_path)
+        queries = self.queries(rng, rep, 200)
+        served = recommend(queries, 10, loaded, loaded_rep, with_scores=True)
+        compared = 0
+        for query, picks in zip(queries, served):
+            allowed = rep.has_rep.copy()
+            allowed[query] = False
+            known = list(query)
+            for a, v in picks:
+                q = np.where(allowed, net.forward(aggregate(known, rep))[0], -np.inf)
+                second, top = np.sort(q)[-2:]
+                if top - second <= 1e-5:  # a float32 rounding may swap the two
+                    break
+                assert a == int(np.argmax(q))
+                assert abs(v - top) <= 1e-5 * np.abs(q[allowed]).max()
+                compared += 1
+                allowed[a] = False
+                known.append(a)
+        assert compared > 0.9 * 10 * len(queries)
+
+    def test_loaded_table_states_bitwise_its_float64_copy(self, tmp_path):
+        _, _, loaded, loaded_rep, rng = self.saved_model(tmp_path)
+        assert loaded_rep.vectors.dtype == np.float32
+        wide = RepresentativeTable(vectors=loaded_rep.vectors.astype(np.float64), blend=loaded_rep.blend,
+                                   has_rep=loaded_rep.has_rep)
+        queries = self.queries(rng, loaded_rep, 40)
+        states = []
+        for rep in (loaded_rep, wide):
+            recorder = RecordingNet(loaded)
+            recommend(queries, 5, recorder, rep)
+            states.append(recorder.states)
+        assert len(states[0]) == len(states[1]) == 5
+        assert all(a.dtype == np.float64 and a.tobytes() == b.tobytes() for a, b in zip(*states))
+        for q in queries:
+            assert aggregate(q, loaded_rep).tobytes() == aggregate(q, wide).tobytes()

@@ -221,17 +221,32 @@ class TestTrainRecommend:
         out = tmp_path / "model"
         assert self.run_train(path, out) == EXIT_OK
         for name in ("embeddings.tple", "representatives.tplr", "qnet.tplq",
-                     "curve.csv", "vocab.tsv", "manifest.txt"):
+                     "curve.csv", "embed_curve.csv", "vocab.tsv", "manifest.txt"):
             assert (out / name).is_file()
         manifest = (out / "manifest.txt").read_text()
-        assert manifest.count("sha256:") == 5
+        assert manifest.count("sha256:") == 6
+
+    def test_embed_curve_is_the_history(self, dataset_file, tmp_path, capsys):
+        from tplrec.cli import protocol_config
+        from tplrec.data import ingest
+        from tplrec.embed import train_embeddings
+
+        path, _ = dataset_file
+        out = tmp_path / "model"
+        assert self.run_train(path, out) == EXIT_OK
+        result = train_embeddings(ingest(path), protocol_config(load_config(None, FAST_TRAIN)).embed)
+        assert len(result.history) > 1
+        rows = [line.split(",") for line in (out / "embed_curve.csv").read_text().splitlines()]
+        assert rows[0] == ["epoch", "loss", "val_recall"]
+        assert rows[1:-1] == [[str(e), f"{loss:.6f}", f"{r:.6f}"] for e, loss, r in result.history]
+        assert rows[-1] == ["best_epoch", str(result.best_epoch)]
 
     def test_train_deterministic(self, dataset_file, tmp_path, capsys):
         path, _ = dataset_file
         a, b = tmp_path / "a", tmp_path / "b"
         assert self.run_train(path, a) == EXIT_OK
         assert self.run_train(path, b) == EXIT_OK
-        for name in ("embeddings.tple", "representatives.tplr", "qnet.tplq", "curve.csv"):
+        for name in ("embeddings.tple", "representatives.tplr", "qnet.tplq", "curve.csv", "embed_curve.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_blend_zero_representatives_equal_embeddings(self, dataset_file, tmp_path, capsys):
@@ -261,6 +276,26 @@ class TestTrainRecommend:
             float(qval)
             names.add(name)
         assert not names & set(query.split(","))
+
+    def test_recommend_equals_in_process_recommend_on_the_loaded_model(self, dataset_file, tmp_path, capsys):
+        from tplrec.agent import load_qnetwork, recommend
+        from tplrec.coldstart import RepresentativeTable
+        from tplrec.data import ingest
+
+        path, _ = dataset_file
+        out = tmp_path / "model"
+        assert self.run_train(path, out) == EXIT_OK
+        ds = ingest(path)  # the training's own indices
+        net = load_qnetwork(out / "qnet.tplq")
+        rep = RepresentativeTable.load(out / "representatives.tplr")
+        for u in range(0, ds.n_projects, 3):
+            query = ds.by_project[u][:2].tolist()
+            capsys.readouterr()
+            query_ids = ",".join(ds.libraries[i] for i in query)
+            assert main(["recommend", "--model-dir", str(out), "--query", query_ids, "--k", "5"]) == EXIT_OK
+            picks = recommend(query, 5, net, rep, with_scores=True)
+            assert capsys.readouterr().out == "".join(
+                f"{rank}\t{ds.libraries[a]}\t{v:.6f}\n" for rank, (a, v) in enumerate(picks, 1))
 
     def test_recommend_unknown_library(self, dataset_file, tmp_path, capsys):
         path, _ = dataset_file

@@ -62,6 +62,28 @@ class TestIngest:
         ds = ingest(p)
         assert ds.n_projects == 2
 
+    # every line boundary of str.splitlines but "\n"
+    @pytest.mark.parametrize("char", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_file_splits_at_newline_only(self, tmp_path, char):
+        p = tmp_path / "d.tsv"
+        p.write_bytes(f"p1\tlib{char}x\np2\tlibb\nbad\n".encode())
+        with pytest.raises(ParseError, match="line 3"):
+            ingest(p)
+        p.write_bytes(f"p1\tlib{char}x\np2\tlibb\n".encode())
+        assert ingest(p).libraries == (f"lib{char}x", "libb")
+
+    def test_crlf_file_ingests_as_lf(self, tmp_path):
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        text = "# header\np1\tl1\n\np2\tl2\np1\tl2\n"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        a, b = ingest(lf), ingest(crlf)
+        assert (a.projects, a.libraries) == (b.projects, b.libraries) == (("p1", "p2"), ("l1", "l2"))
+        assert np.array_equal(a.interactions, b.interactions)
+        crlf.write_bytes(b"p1\tl1\r\n\r\nbad\r\n")
+        with pytest.raises(ParseError, match="line 3: .* got 'bad'$"):
+            ingest(crlf)
+
 
 class TestDatasetInvariants:
     def test_out_of_range_rejected(self):
