@@ -271,8 +271,9 @@ def _exp_logsumexp(q: np.ndarray) -> np.ndarray:
     overwriting q with exp(q - row max): one exponential pass.
 
     SciPy sums the exponentials without the row's m maxima and returns
-    log1p(s / m) + log(m) + max; here the maxima's exp(0) == 1 entries are
-    set to 0 for that sum and back to 1 after it.
+    log1p(s / m) + log(m) + max, with m counted in q's dtype; here the
+    maxima's exp(0) == 1 entries are set to 0 for that sum and back to 1
+    after it.
     """
     top = q.max(axis=1)
     # A row holding inf or NaN gives a non-finite result, which `cql_loss` rejects.
@@ -283,7 +284,7 @@ def _exp_logsumexp(q: np.ndarray) -> np.ndarray:
         np.copyto(q, 0.0, where=maxima)
         s = q.sum(axis=1)
         np.copyto(q, 1.0, where=maxima)
-        m = np.count_nonzero(maxima, axis=1)
+        m = np.count_nonzero(maxima, axis=1).astype(q.dtype)
         return np.log1p(s / m) + np.log(m) + top
 
 

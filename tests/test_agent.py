@@ -141,8 +141,10 @@ class TestInPlaceKernels:
     @example(rows=[[2.0, 2.0, -1.0, 2.0, 0.5, 0.0, 2.0]], m=7)  # tied maxima
     @example(rows=[[0.25] * 7, [-0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0]], m=7)  # all equal
     @example(rows=[[0.0, -800.0, -745.2, -1e3, -800.0, -1e3, -760.0]], m=7)  # the rest underflows to 0
-    def test_logsumexp_equals_scipy(self, rows, m):
-        q = np.array(rows)[:, :m]
+    @example(rows=[[0.0, -90.0, -103.0, -1e3, -88.0, -1e3, -95.0]], m=7)  # float32 underflows here
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_logsumexp_equals_scipy(self, dtype, rows, m):
+        q = np.array(rows, dtype=dtype)[:, :m]
         expected = logsumexp(q, axis=1)
         e = q.copy()
         got = _exp_logsumexp(e)
