@@ -125,8 +125,8 @@ class QNetwork:
 
     def _hidden(self, states: np.ndarray):
         """The (states, z, h) of a batch of states: pre-activations z and ReLU h.
-        The network computes in its parameters' dtype: float64 when trained,
-        float32 when loaded from an artifact."""
+        The network computes in its parameters' dtype: float32 when trained
+        or loaded from an artifact, float64 as drawn by the constructor."""
         states = np.atleast_2d(states).astype(self.params["w1"].dtype, copy=False)
         z = states @ self.params["w1"].T + self.params["b1"]
         return states, z, np.maximum(z, 0.0)
@@ -262,7 +262,7 @@ def _q_targets(batch: Transition, online: QNetwork, target: QNetwork, gamma: flo
         return batch.reward
     # Double DQN: the online network's argmax needs every action, the target's value only a*.
     a_star = np.argmax(online.forward(batch.next_state), axis=1)
-    q_next = target.q_at(batch.next_state, a_star)
+    q_next = target.q_at(batch.next_state, a_star).astype(np.float64, copy=False)
     return batch.reward + gamma * q_next * (~batch.terminal)
 
 
@@ -298,6 +298,10 @@ def cql_loss(batch: Transition, online: QNetwork, target: QNetwork, alpha: float
     ``weights`` are per-sample weights summing to 1 (uniform when None);
     they realize the partition-weighted objective. Returns
     (loss, grads, regularizer per sample).
+
+    The (B, M) arrays Q and d loss / d Q and the gradients are in the
+    network's dtype; the weights, targets, regularizer and loss are
+    float64, each cast written out where the two meet.
     """
     b = len(batch)
     if not b:
@@ -306,8 +310,8 @@ def cql_loss(batch: Transition, online: QNetwork, target: QNetwork, alpha: float
     y = _q_targets(batch, online, target, gamma)
     q, cache = online.forward_cached(batch.state)
     rows = np.arange(b)
-    q_a = q[rows, batch.action]
-    reg = _exp_logsumexp(q) - q_a  # q holds exp(q - max) from here
+    q_a = q[rows, batch.action].astype(np.float64, copy=False)
+    reg = _exp_logsumexp(q).astype(np.float64, copy=False) - q_a  # q holds exp(q - max) from here
     bellman = (y - q_a) ** 2
     loss = float(w @ (alpha * reg + 0.5 * bellman))
     if not np.isfinite(loss):
@@ -317,9 +321,9 @@ def cql_loss(batch: Transition, online: QNetwork, target: QNetwork, alpha: float
     # softmax is exp(q - max) / its sum, so this is bitwise the same.
     dq = q
     dq /= dq.sum(axis=1, keepdims=True)
-    dq *= (alpha * w)[:, None]
+    dq *= (alpha * w).astype(dq.dtype, copy=False)[:, None]
     one_hot_scale = w * (alpha + (y - q_a))
-    dq[rows, batch.action] -= one_hot_scale
+    dq[rows, batch.action] -= one_hot_scale.astype(dq.dtype, copy=False)
     grads = online.backward(cache, dq)
     return loss, grads, reg
 
@@ -447,12 +451,15 @@ def train_agent(train: InteractionDataset, table: EmbeddingTable, rep: Represent
 
     Each epoch generates fresh transitions for every training project in
     one batch, then runs gradient steps on partition-weighted replay
-    batches with a cosine-annealed learning rate.
+    batches with a cosine-annealed learning rate. The network, its target
+    copy and Adam's moments are float32.
     """
     rng = np.random.default_rng(cfg.seed)
     pop = popularity(train)
     buf = ReplayBuffer(cfg.capacity, cfg.mu, pop, rng)
     net = QNetwork(table.dim, train.n_libraries, hidden=cfg.hidden, rng=rng)
+    # Trained in float32, the precision it is stored and served in; the draws stay float64.
+    net.params = {name: p.astype(np.float32) for name, p in net.params.items()}
     target = net.clone()
     opt = Adam(cfg.learning_rate)
     stats = AgentStats()

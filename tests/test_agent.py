@@ -364,6 +364,42 @@ class TestCQLLoss:
                 checked += 1
         assert checked >= 100
 
+    def float32_pair(self, seed=17, b=32, d=6, m=40):
+        """A float64 online/target pair, their float32 copies and a batch."""
+        rng = np.random.default_rng(seed)
+        nets = QNetwork(d, m, hidden=24, rng=rng), QNetwork(d, m, hidden=24, rng=rng)
+        narrow = [QNetwork.from_params({k: v.astype(np.float32) for k, v in n.params.items()}) for n in nets]
+        w = rng.random(b)
+        return nets, narrow, self.make_batch(rng, b, d, m), w / w.sum()
+
+    def test_float32_network_keeps_its_arrays_float32(self):
+        _, (online, target), batch, w = self.float32_pair()
+        seen = {}
+
+        def forward_cached(states):
+            seen["q"], cache = QNetwork.forward_cached(online, states)
+            return seen["q"], cache
+
+        def backward(cache, dq):
+            seen["dq"] = dq
+            return QNetwork.backward(online, cache, dq)
+
+        online.forward_cached, online.backward = forward_cached, backward
+        loss, grads, reg = cql_loss(batch, online, target, 5.5, 0.9, w)
+        assert seen["q"].dtype == seen["dq"].dtype == np.float32
+        assert seen["dq"].shape == (len(batch), online.n_actions)
+        assert all(g.dtype == np.float32 for g in grads.values())
+        assert isinstance(loss, float) and reg.dtype == np.float64
+
+    def test_float32_gradients_within_float32_rounding(self):
+        (online, target), (online32, target32), batch, w = self.float32_pair()
+        loss, want, reg = cql_loss(batch, online, target, 5.5, 0.9, w)
+        loss32, got, reg32 = cql_loss(batch, online32, target32, 5.5, 0.9, w)
+        assert loss32 == pytest.approx(loss, rel=1e-5)
+        assert np.allclose(reg32, reg, rtol=1e-4, atol=0.0)
+        for name, g in want.items():
+            assert np.abs(got[name] - g).max() <= 1e-4 * np.abs(g).max(), name
+
     def test_empty_batch_rejected(self):
         net = QNetwork(2, 2, hidden=4, rng=0)
         with pytest.raises(DataError):
@@ -764,6 +800,30 @@ class TestTrainAgent:
             probe = rng.choice(unobserved, size=min(100, len(unobserved)), replace=False)
             gaps.append(q_data - q[probe].mean())
         assert np.mean(gaps) >= 0.0
+
+    def test_trained_in_float32(self, monkeypatch):
+        optimizers = []
+
+        class RecordingAdam(agent.Adam):
+            def __init__(self, lr):
+                super().__init__(lr)
+                optimizers.append(self)
+
+        monkeypatch.setattr(agent, "Adam", RecordingAdam)
+        ds, table, rep = self.make_setup()
+        net, _ = train_agent(ds, table, rep, AgentConfig(epochs=2, batch_size=16, target_sync=5, seed=0))
+        (opt,) = optimizers
+        assert opt.t > 0 and opt._m.keys() == opt._v.keys() == net.params.keys()
+        for name, p in net.params.items():
+            arrays = [p, opt._m[name], opt._v[name], *opt._scratch[name]]
+            assert all(a.dtype == np.float32 for a in arrays), name
+
+    def test_trained_network_is_the_stored_network(self, tmp_path):
+        ds, table, rep = self.make_setup()
+        net, _ = train_agent(ds, table, rep, AgentConfig(epochs=2, batch_size=16, target_sync=5, seed=0))
+        save_qnetwork(tmp_path / "q.tplq", net)
+        loaded = load_qnetwork(tmp_path / "q.tplq")
+        assert all(p.tobytes() == loaded.params[name].tobytes() for name, p in net.params.items())
 
     def test_curve_csv(self, tmp_path):
         ds, table, rep = self.make_setup()

@@ -297,6 +297,36 @@ class TestTrainRecommend:
             assert capsys.readouterr().out == "".join(
                 f"{rank}\t{ds.libraries[a]}\t{v:.6f}\n" for rank, (a, v) in enumerate(picks, 1))
 
+    def test_recommend_equals_in_process_recommend_on_the_trained_model(self, dataset_file, tmp_path, capsys,
+                                                                          monkeypatch):
+        from tplrec import cli
+        from tplrec.agent import recommend
+        from tplrec.data import ingest
+
+        held = {}
+
+        def keep(name, func):
+            def call(*args, **kwargs):
+                held[name] = func(*args, **kwargs)
+                return held[name]
+            monkeypatch.setattr(cli, name, call)
+
+        keep("train_agent", cli.train_agent)
+        keep("build_representatives", cli.build_representatives)
+        path, _ = dataset_file
+        out = tmp_path / "model"
+        assert self.run_train(path, out) == EXIT_OK
+        (net, _), rep = held["train_agent"], held["build_representatives"]
+        ds = ingest(path)
+        for u in range(0, ds.n_projects, 3):
+            query = ds.by_project[u][:2].tolist()
+            capsys.readouterr()
+            query_ids = ",".join(ds.libraries[i] for i in query)
+            assert main(["recommend", "--model-dir", str(out), "--query", query_ids, "--k", "5"]) == EXIT_OK
+            picks = recommend(query, 5, net, rep, with_scores=True)
+            assert capsys.readouterr().out == "".join(
+                f"{rank}\t{ds.libraries[a]}\t{v:.6f}\n" for rank, (a, v) in enumerate(picks, 1))
+
     def test_recommend_unknown_library(self, dataset_file, tmp_path, capsys):
         path, _ = dataset_file
         out = tmp_path / "model"
