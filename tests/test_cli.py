@@ -278,16 +278,23 @@ class TestTrainRecommend:
         assert not names & set(query.split(","))
 
     def test_recommend_equals_in_process_recommend_on_the_loaded_model(self, dataset_file, tmp_path, capsys):
-        from tplrec.agent import load_qnetwork, recommend
+        from tplrec.agent import load_qnetwork
         from tplrec.coldstart import RepresentativeTable
-        from tplrec.data import ingest
 
         path, _ = dataset_file
         out = tmp_path / "model"
         assert self.run_train(path, out) == EXIT_OK
-        ds = ingest(path)  # the training's own indices
         net = load_qnetwork(out / "qnet.tplq")
         rep = RepresentativeTable.load(out / "representatives.tplr")
+        self.assert_cli_prints_in_process_picks(path, out, net, rep, capsys)
+
+    def assert_cli_prints_in_process_picks(self, path, out, net, rep, capsys):
+        """CLI `recommend` on the model in `out` prints what in-process
+        `recommend` gives with `net` and `rep`, for every third project."""
+        from tplrec.agent import recommend
+        from tplrec.data import ingest
+
+        ds = ingest(path)  # the training's own indices
         for u in range(0, ds.n_projects, 3):
             query = ds.by_project[u][:2].tolist()
             capsys.readouterr()
@@ -300,8 +307,6 @@ class TestTrainRecommend:
     def test_recommend_equals_in_process_recommend_on_the_trained_model(self, dataset_file, tmp_path, capsys,
                                                                           monkeypatch):
         from tplrec import cli
-        from tplrec.agent import recommend
-        from tplrec.data import ingest
 
         held = {}
 
@@ -317,15 +322,7 @@ class TestTrainRecommend:
         out = tmp_path / "model"
         assert self.run_train(path, out) == EXIT_OK
         (net, _), rep = held["train_agent"], held["build_representatives"]
-        ds = ingest(path)
-        for u in range(0, ds.n_projects, 3):
-            query = ds.by_project[u][:2].tolist()
-            capsys.readouterr()
-            query_ids = ",".join(ds.libraries[i] for i in query)
-            assert main(["recommend", "--model-dir", str(out), "--query", query_ids, "--k", "5"]) == EXIT_OK
-            picks = recommend(query, 5, net, rep, with_scores=True)
-            assert capsys.readouterr().out == "".join(
-                f"{rank}\t{ds.libraries[a]}\t{v:.6f}\n" for rank, (a, v) in enumerate(picks, 1))
+        self.assert_cli_prints_in_process_picks(path, out, net, rep, capsys)
 
     def test_recommend_unknown_library(self, dataset_file, tmp_path, capsys):
         path, _ = dataset_file
