@@ -127,7 +127,13 @@ def propagate(adj: sp.spmatrix, emb: np.ndarray, layers: int) -> np.ndarray:
     for _ in range(layers):
         x = adj @ x
         acc += x
-    return acc / (layers + 1)
+    acc /= layers + 1
+    return acc
+
+
+# Batch rows per chunk of the loss's pair gather: no (B, k + 1, d) array of
+# unit vectors is built, only one chunk's.
+_LOSS_CHUNK = 256
 
 
 def debiased_contrastive_loss(emb, users, pos, negs, pos_weight, tau):
@@ -148,7 +154,10 @@ def debiased_contrastive_loss(emb, users, pos, negs, pos_weight, tau):
     norms[norms == 0.0] = 1.0  # an all-zero row that no sample touches keeps a zero gradient
     unit = emb / norms
     other = np.concatenate([pos[:, None], negs], axis=1)  # the positive, then the negatives
-    cos = np.einsum("bd,bkd->bk", unit[users], unit[other])
+    cos = np.empty((b, k + 1), dtype=unit.dtype)
+    for start in range(0, b, _LOSS_CHUNK):
+        rows = slice(start, start + _LOSS_CHUNK)
+        np.einsum("bd,bkd->bk", unit[users[rows]], unit[other[rows]], out=cos[rows])
 
     logits = cos / tau
     logits[:, 0] = pos_weight * cos[:, 0] / tau
@@ -231,7 +240,8 @@ def _recall_at_10(table: EmbeddingTable, keys: np.ndarray, val: np.ndarray) -> f
         scores = table.projects[start:stop] @ table.libraries.T
         a, b = np.searchsorted(keys, (start * m, stop * m))
         scores[keys[a:b] // m - start, keys[a:b] % m] = -np.inf
-        top = np.argpartition(-scores[users[lo:hi] - start], k - 1, axis=1)[:, :k]
+        rows = scores[users[lo:hi] - start]
+        top = np.argpartition(np.negative(rows, out=rows), k - 1, axis=1)[:, :k]
         hit |= np.isin(codes, users[lo:hi, None] * m + top)
     recall = (np.bincount(which[hit], minlength=len(users)) / size)[np.argsort(first)]
     return float(np.cumsum(recall)[-1]) / len(users)
@@ -301,7 +311,7 @@ def train_embeddings(train: InteractionDataset, cfg: EmbedConfig) -> EmbedResult
             opt.step({"emb": e0}, {"emb": grad0})
 
         emb = propagate(adj, e0, cfg.layers)
-        table = EmbeddingTable(emb[:n].copy(), emb[n:].copy()).normalized()
+        table = EmbeddingTable(emb[:n], emb[n:]).normalized()
         recall = _recall_at_10(table, keys, validation)
         history.append((epoch, float(np.mean(losses)), recall))
 

@@ -106,6 +106,36 @@ def contrastive_loss_scattered(emb, users, pos, negs, pos_weight, tau):
     return loss, grad
 
 
+def contrastive_loss_one_shot(emb, users, pos, negs, pos_weight, tau):
+    """The debiased contrastive loss and table gradient from one (B, k + 1, d)
+    gather of unit vectors and a symmetric N x N pair-weight matrix built
+    through SciPy's COO -> CSR conversion (which sorts and sums duplicates)."""
+    import scipy.sparse as sp
+
+    b, k = negs.shape
+    norms = np.linalg.norm(emb, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    unit = emb / norms
+    other = np.concatenate([pos[:, None], negs], axis=1)
+    cos = np.einsum("bd,bkd->bk", unit[users], unit[other])
+
+    logits = cos / tau
+    logits[:, 0] = pos_weight * cos[:, 0] / tau
+    mx = logits.max(axis=1, keepdims=True)
+    lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
+    loss = float(np.mean(lse - logits[:, 0]))
+
+    soft = np.exp(logits - lse[:, None])
+    dcos = soft / (b * tau)
+    dcos[:, 0] = (soft[:, 0] - 1.0) * pos_weight / (b * tau)
+
+    mine, other = np.repeat(users, k + 1), other.ravel()
+    s = sp.csr_matrix((np.tile(dcos.ravel(), 2), (np.r_[mine, other], np.r_[other, mine])),
+                      shape=(len(emb), len(emb)))
+    g = s @ unit
+    return loss, (g - np.einsum("nd,nd->n", g, unit)[:, None] * unit) / norms
+
+
 def holdout_validation_loop(rng, edges, n_projects, fraction):
     """The validation holdout taken edge by edge in a random order: an edge
     is taken while fewer than the target are, unless it is its project's

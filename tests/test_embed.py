@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tplrec.embed import (
+    _LOSS_CHUNK,
     _SCORE_BLOCK,
     EmbedConfig,
     EmbeddingTable,
@@ -23,7 +25,8 @@ from tplrec.embed import (
 )
 from tplrec.synth import planted_communities
 
-from oracles import contrastive_loss_scattered, holdout_validation_loop, recall_at_10_dense
+from oracles import (contrastive_loss_one_shot, contrastive_loss_scattered, holdout_validation_loop,
+                     recall_at_10_dense)
 
 
 def random_bipartite(rng, n, m):
@@ -187,6 +190,27 @@ class TestContrastiveLoss:
         scale = (touches[hit] / np.linalg.norm(emb[hit], axis=1)).max() / (b * tau)
         assert np.abs(grad - want).max() <= 1e-12 * scale
         assert not grad[n_users + n_others:].any()
+
+    @pytest.mark.parametrize("b", [1, _LOSS_CHUNK - 1, _LOSS_CHUNK, _LOSS_CHUNK + 1, 3 * _LOSS_CHUNK + 5])
+    def test_chunks_equal_one_shot(self, b):
+        # batches ending before, at and after a chunk boundary, users and others repeating
+        emb, users, pos, negs, w = loss_inputs(np.random.default_rng(b), 90, 30, b, 7, 6)
+        loss, grad = debiased_contrastive_loss(emb, users, pos, negs, w, 0.1)
+        want_loss, want = contrastive_loss_one_shot(emb, users, pos, negs, w, 0.1)
+        assert loss == want_loss
+        assert np.array_equal(grad, want)
+
+    def test_catalog_shape_memory(self):
+        # the benchmark's embedding batch: a whole (B, k + 1, d) float64 gather is 35.6 MB
+        n_rows, b, k, d = 4711, 4096, 16, 64
+        emb, users, pos, negs, w = loss_inputs(np.random.default_rng(0), n_rows, 1000, b, k, d)
+        tracemalloc.start()
+        try:
+            debiased_contrastive_loss(emb, users, pos, negs, w, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < b * (k + 1) * d * 8 / 2
 
     def test_popularity_attenuation_monotone(self):
         # same geometry, higher popularity -> lower weight -> loss at least as large
