@@ -131,8 +131,8 @@ def propagate(adj: sp.spmatrix, emb: np.ndarray, layers: int) -> np.ndarray:
     return acc
 
 
-# Batch rows per chunk of the loss's pair gather: no (B, k + 1, d) array of
-# unit vectors is built, only one chunk's.
+# Batch rows per chunk of the loss: no (B, k + 1, d) array of unit vectors
+# is built, only one chunk's gather, which its cosines and gradient share.
 _LOSS_CHUNK = 256
 
 
@@ -154,30 +154,44 @@ def debiased_contrastive_loss(emb, users, pos, negs, pos_weight, tau):
     norms[norms == 0.0] = 1.0  # an all-zero row that no sample touches keeps a zero gradient
     unit = emb / norms
     other = np.concatenate([pos[:, None], negs], axis=1)  # the positive, then the negatives
-    cos = np.empty((b, k + 1), dtype=unit.dtype)
+    if min(users.min(), other.min()) < 0:  # the sparse product below does not bounds-check
+        raise ValueError("row indices must be nonnegative")
+
+    # d cos(x, y) / d unit(x) = unit(y), so pair (b, j) adds dcos[b, j] * unit[users[b]]
+    # to row other[b, j], and sample b adds sum_j dcos[b, j] * unit[other[b, j]] to row
+    # users[b]: the first B rows of `addends` are unit[users], the last B those sums
+    addends = np.empty((2 * b, emb.shape[1]), dtype=unit.dtype)
+    mine, sums = addends[:b], addends[b:]
+    mine[:] = unit[users]
+    dcos = np.empty((b, k + 1))  # d loss / d cos for every (user, other) pair
+    gap = np.empty(b)  # each sample's loss
     for start in range(0, b, _LOSS_CHUNK):
         rows = slice(start, start + _LOSS_CHUNK)
-        np.einsum("bd,bkd->bk", unit[users[rows]], unit[other[rows]], out=cos[rows])
+        pairs, w = unit[other[rows]], pos_weight[rows]
+        cos = np.einsum("bd,bkd->bk", mine[rows], pairs)
+        logits = cos / tau
+        logits[:, 0] = w * cos[:, 0] / tau
+        mx = logits.max(axis=1, keepdims=True)
+        lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
+        gap[rows] = lse - logits[:, 0]
+        soft = np.exp(logits - lse[:, None])
+        dcos[rows] = soft / (b * tau)
+        dcos[rows, 0] = (soft[:, 0] - 1.0) * w / (b * tau)
+        np.einsum("bk,bkd->bd", dcos[rows], pairs, out=sums[rows])
+        del pairs  # before the next chunk's gather is made
+    loss = float(np.mean(gap))
 
-    logits = cos / tau
-    logits[:, 0] = pos_weight * cos[:, 0] / tau
-    mx = logits.max(axis=1, keepdims=True)
-    lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
-    loss = float(np.mean(lse - logits[:, 0]))
-
-    # d loss / d cos for every (user, other) pair
-    soft = np.exp(logits - lse[:, None])
-    dcos = soft / (b * tau)
-    dcos[:, 0] = (soft[:, 0] - 1.0) * pos_weight / (b * tau)
-
-    # d cos(x, y) / d unit(x) = unit(y), so the gradient with respect to the unit
-    # rows is S @ unit for the symmetric matrix S of pair weights (duplicates summed)
-    mine, other = np.repeat(users, k + 1), other.ravel()
-    s = sp.csr_matrix((np.tile(dcos.ravel(), 2), (np.r_[mine, other], np.r_[other, mine])),
-                      shape=(len(emb), len(emb)))
-    g = s @ unit
+    # the gradient with respect to the unit rows, scattered by one column-compressed
+    # N x 2B product: k + 1 entries per column for the pairs, then one per sample
+    n_pairs = b * (k + 1)
+    scatter = sp.csc_matrix((np.r_[dcos.ravel(), np.ones(b)], np.r_[other.ravel(), users],
+                             np.r_[np.arange(0, n_pairs, k + 1), np.arange(n_pairs, n_pairs + b + 1)]),
+                            shape=(len(emb), 2 * b))
+    g = scatter @ addends
     # back through unit(x) = x / |x|: drop the radial part, divide by the norm
-    return loss, (g - np.einsum("nd,nd->n", g, unit)[:, None] * unit) / norms
+    g -= np.einsum("nd,nd->n", g, unit)[:, None] * unit
+    g /= norms
+    return loss, g
 
 
 def _negative_sampler(codes: np.ndarray, n: int, m: int):

@@ -151,6 +151,12 @@ class TestContrastiveLoss:
             debiased_contrastive_loss(np.ones((2, 2)), np.array([0]), np.array([1]), np.ones((1, 2), dtype=int),
                                       np.ones(1), 0.0)
 
+    def test_negative_row_rejected(self):
+        emb, users, pos, negs, w = loss_inputs(np.random.default_rng(3), 12, 3, 3, 4, 5)
+        negs[1, 2] = -1
+        with pytest.raises(ValueError, match="nonnegative"):
+            debiased_contrastive_loss(emb, users, pos, negs, w, 0.2)
+
     def test_gradients_match_finite_differences(self):
         # 32 rows x 5 = 160 entries, every one checked; users and negatives repeat
         emb, users, pos, negs, w = loss_inputs(np.random.default_rng(5), 32, 8, 8, 6, 5)
@@ -192,13 +198,15 @@ class TestContrastiveLoss:
         assert not grad[n_users + n_others:].any()
 
     @pytest.mark.parametrize("b", [1, _LOSS_CHUNK - 1, _LOSS_CHUNK, _LOSS_CHUNK + 1, 3 * _LOSS_CHUNK + 5])
-    def test_chunks_equal_one_shot(self, b):
-        # batches ending before, at and after a chunk boundary, users and others repeating
+    def test_chunks_match_one_shot(self, b):
+        # batches ending before, at and after a chunk boundary, users and others repeating;
+        # the summation order differs from both oracles'
         emb, users, pos, negs, w = loss_inputs(np.random.default_rng(b), 90, 30, b, 7, 6)
         loss, grad = debiased_contrastive_loss(emb, users, pos, negs, w, 0.1)
-        want_loss, want = contrastive_loss_one_shot(emb, users, pos, negs, w, 0.1)
-        assert loss == want_loss
-        assert np.array_equal(grad, want)
+        for oracle in (contrastive_loss_one_shot, contrastive_loss_scattered):
+            want_loss, want = oracle(emb, users, pos, negs, w, 0.1)
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+            assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_catalog_shape_memory(self):
         # the benchmark's embedding batch: a whole (B, k + 1, d) float64 gather is 35.6 MB
