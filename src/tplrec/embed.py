@@ -251,11 +251,12 @@ def _recall_at_10(table: EmbeddingTable, keys: np.ndarray, val: np.ndarray) -> f
         lo, hi = np.searchsorted(users, (start, stop))
         if lo == hi:
             continue
+        # negated in place and partitioned whole, so no copy of the block's rows is made
         scores = table.projects[start:stop] @ table.libraries.T
+        np.negative(scores, out=scores)
         a, b = np.searchsorted(keys, (start * m, stop * m))
-        scores[keys[a:b] // m - start, keys[a:b] % m] = -np.inf
-        rows = scores[users[lo:hi] - start]
-        top = np.argpartition(np.negative(rows, out=rows), k - 1, axis=1)[:, :k]
+        scores[keys[a:b] // m - start, keys[a:b] % m] = np.inf
+        top = np.argpartition(scores, k - 1, axis=1)[users[lo:hi] - start, :k]
         hit |= np.isin(codes, users[lo:hi, None] * m + top)
     recall = (np.bincount(which[hit], minlength=len(users)) / size)[np.argsort(first)]
     return float(np.cumsum(recall)[-1]) / len(users)
