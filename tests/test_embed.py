@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from tplrec import embed
 from tplrec.data import ingest
 from tplrec.errors import DataError
 from hypothesis import given, settings
@@ -207,6 +208,15 @@ class TestContrastiveLoss:
             want_loss, want = oracle(emb, users, pos, negs, w, 0.1)
             assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
             assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_chunk_size_changes_nothing(self, monkeypatch):
+        emb, users, pos, negs, w = loss_inputs(np.random.default_rng(5), 90, 30, 700, 7, 6)
+        want_loss, want = debiased_contrastive_loss(emb, users, pos, negs, w, 0.1)
+        for chunk in (1, 7, 1000):
+            monkeypatch.setattr(embed, "_LOSS_CHUNK", chunk)
+            loss, grad = debiased_contrastive_loss(emb, users, pos, negs, w, 0.1)
+            assert loss == want_loss
+            assert np.array_equal(grad, want)
 
     def test_catalog_shape_memory(self):
         # the benchmark's embedding batch: a whole (B, k + 1, d) float64 gather is 35.6 MB
