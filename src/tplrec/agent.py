@@ -6,6 +6,7 @@ from __future__ import annotations
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -16,7 +17,7 @@ from .coldstart import RepresentativeTable, aggregate, segment_sums  # noqa: F40
 from .data import RARE_THRESHOLD, InteractionDataset, PopularityTable, group_ranks, popularity
 from .embed import EmbeddingTable
 from .errors import DataError, NumericError
-from .optim import Adam, cosine_annealed_lr
+from .optim import Adam, both, cosine_annealed_lr
 
 _MAGIC_Q = b"TPLQ"
 _QNET_PARAMS = ("w1", "b1", "wv", "bv", "wa", "ba")
@@ -25,6 +26,8 @@ PARTITIONS = ("rare", "rand", "seq")
 MODES = ("sequential", "one-shot")
 # Queries per batched forward in `recommend`: bounds its B x M score and mask arrays.
 _BLOCK = 128
+# Rows per pass of `_exp_logsumexp`: bounds its mask of the row maxima.
+_LSE_ROWS = 64
 
 
 @dataclass(eq=False)
@@ -128,14 +131,17 @@ class QNetwork:
         The network computes in its parameters' dtype: float32 when trained
         or loaded from an artifact, float64 as drawn by the constructor."""
         states = np.atleast_2d(states).astype(self.params["w1"].dtype, copy=False)
-        z = states @ self.params["w1"].T + self.params["b1"]
+        z = states @ self.params["w1"].T
+        z += self.params["b1"]
         return states, z, np.maximum(z, 0.0)
 
-    def streams(self, states: np.ndarray):
-        """Value and advantage heads for a batch of states."""
+    def streams(self, states: np.ndarray, out: np.ndarray | None = None):
+        """Value and advantage heads for a batch of states; the advantages
+        are written to `out` when given (a C-contiguous (B, M) array in
+        the network's dtype), the same product as without it."""
         states, z, h = self._hidden(states)
         v = h @ self.params["wv"] + self.params["bv"][0]
-        a = h @ self.params["wa"].T
+        a = np.matmul(h, self.params["wa"].T, out=out)
         a += self.params["ba"]
         return v, a, (states, z, h)
 
@@ -150,31 +156,29 @@ class QNetwork:
         chosen = np.einsum("bh,bh->b", h, wa[actions]) + ba[actions]
         return v + chosen - (h @ wa.mean(axis=0) + ba.mean())
 
-    def forward(self, states: np.ndarray) -> np.ndarray:
-        q, _ = self.forward_cached(states)
+    def forward(self, states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        q, _ = _dueling(*self.streams(states, out))
         return q
 
     def forward_cached(self, states: np.ndarray):
-        # In place over the advantages, bitwise equal to v + a - mean(a).
-        v, q, cache = self.streams(states)
-        mean = q.mean(axis=1, keepdims=True)
-        q += v[:, None]
-        q -= mean
-        return q, cache
+        return _dueling(*self.streams(states))
 
     def backward(self, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss given d loss / d Q, which it overwrites."""
+        """Gradients of a scalar loss given d loss / d Q, which it overwrites.
+        The two (B, M) products, `da.T @ h` and `da @ wa`, run side by side
+        (`optim.both`)."""
         states, z, h = cache
         dv = dq.sum(axis=1)
         da = dq
         da -= (dv / dq.shape[1])[:, None]  # NumPy's mean is this sum over the count
+        d_wa = np.empty(self.params["wa"].shape, np.result_type(da, h))  # filled on the helper
+        _, dz = both(lambda: np.matmul(da.T, h, out=d_wa), lambda: da @ self.params["wa"])
         grads = {
             "wv": h.T @ dv,
             "bv": np.array([dv.sum()]),
-            "wa": da.T @ h,
+            "wa": d_wa,
             "ba": da.sum(axis=0),
         }
-        dz = da @ self.params["wa"]
         dz += np.outer(dv, self.params["wv"])
         dz *= z > 0.0
         grads["w1"] = dz.T @ states
@@ -193,6 +197,15 @@ class QNetwork:
 
     def clone(self) -> "QNetwork":
         return QNetwork.from_params({k: v.copy() for k, v in self.params.items()})
+
+
+def _dueling(v: np.ndarray, q: np.ndarray, cache):
+    """(Q, cache) from the heads, in place over the advantages `q`:
+    bitwise equal to v + a - mean(a)."""
+    mean = q.mean(axis=1, keepdims=True)
+    q += v[:, None]
+    q -= mean
+    return q, cache
 
 
 def _qnet_layout(d: int, h: int, m: int):
@@ -257,11 +270,13 @@ def gen_transition(train: InteractionDataset, projects, copies: int, rep: Repres
     return Transition(state, action, reward(state, action, lib_table), next_state, k + 1 == n), owner
 
 
-def _q_targets(batch: Transition, online: QNetwork, target: QNetwork, gamma: float) -> np.ndarray:
+def _q_targets(batch: Transition, online: QNetwork, target: QNetwork, gamma: float,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Bellman targets; the online network's next-state scores go to `out` when given."""
     if batch.terminal.all() or gamma == 0.0:
         return batch.reward
     # Double DQN: the online network's argmax needs every action, the target's value only a*.
-    a_star = np.argmax(online.forward(batch.next_state), axis=1)
+    a_star = np.argmax(online.forward(batch.next_state, out=out), axis=1)
     q_next = target.q_at(batch.next_state, a_star).astype(np.float64, copy=False)
     return batch.reward + gamma * q_next * (~batch.terminal)
 
@@ -273,8 +288,13 @@ def _exp_logsumexp(q: np.ndarray) -> np.ndarray:
     SciPy sums the exponentials without the row's m maxima and returns
     log1p(s / m) + log(m) + max, with m counted in q's dtype; here the
     maxima's exp(0) == 1 entries are set to 0 for that sum and back to 1
-    after it.
+    after it. Every step is per row, so it runs over `_LSE_ROWS` rows at
+    a time, which bounds the mask of the maxima.
     """
+    return np.concatenate([_exp_logsumexp_rows(q[r:r + _LSE_ROWS]) for r in range(0, len(q), _LSE_ROWS)])
+
+
+def _exp_logsumexp_rows(q: np.ndarray) -> np.ndarray:
     top = q.max(axis=1)
     # A row holding inf or NaN gives a non-finite result, which `cql_loss` rejects.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -302,16 +322,26 @@ def cql_loss(batch: Transition, online: QNetwork, target: QNetwork, alpha: float
     The (B, M) arrays Q and d loss / d Q and the gradients are in the
     network's dtype; the weights, targets, regularizer and loss are
     float64, each cast written out where the two meet.
+
+    The targets (the next-state forward and the target network's value)
+    are computed on the helper thread of `optim.both`, beside the
+    current-state forward and its logsumexp.
     """
     b = len(batch)
     if not b:
         raise DataError("cql_loss requires a nonempty batch")
     w = np.full(b, 1.0 / b) if weights is None else np.asarray(weights, dtype=np.float64)
-    y = _q_targets(batch, online, target, gamma)
-    q, cache = online.forward_cached(batch.state)
     rows = np.arange(b)
-    q_a = q[rows, batch.action].astype(np.float64, copy=False)
-    reg = _exp_logsumexp(q).astype(np.float64, copy=False) - q_a  # q holds exp(q - max) from here
+
+    def scores():
+        q, cache = online.forward_cached(batch.state)
+        q_a = q[rows, batch.action].astype(np.float64, copy=False)
+        return q, cache, q_a, _exp_logsumexp(q)  # q holds exp(q - max) from here
+
+    next_q = np.empty((b, online.n_actions), online.params["wa"].dtype)  # filled on the helper
+    y, (q, cache, q_a, lse) = both(lambda: _q_targets(batch, online, target, gamma, next_q), scores)
+    del next_q  # only its argmax was needed
+    reg = lse.astype(np.float64, copy=False) - q_a
     bellman = (y - q_a) ** 2
     loss = float(w @ (alpha * reg + 0.5 * bellman))
     if not np.isfinite(loss):
@@ -359,15 +389,14 @@ class ReplayBuffer:
     def insert(self, t: Transition, project=0) -> None:
         """Add a batch; `project` is each row's project, or one for every row."""
         if self._cap["rare"]:
-            rare = t[self.pop.rates[t.action] < RARE_THRESHOLD]
-            self.rare = Transition.concat(self.rare, rare)[-self._cap["rare"]:]
+            rare = np.flatnonzero(self.pop.rates[t.action] < RARE_THRESHOLD)
+            self.rare = _keep_last(self.rare, t, rare, self._cap["rare"])
         cap = self._cap["rand"]
         if cap:
             # Algorithm R over the batch: row j (of s seen) takes a uniform slot
             # below s if that slot is below cap; a later row's write wins.
             fill = min(max(cap - self._rand_seen, 0), len(t))
-            if fill:
-                self.rand = Transition.concat(self.rand, t[:fill])
+            self.rand = _keep_last(self.rand, t, np.arange(fill), cap)
             slot = self.rng.integers(self._rand_seen + np.arange(fill + 1, len(t) + 1))
             hit = np.flatnonzero(slot < cap)[::-1]
             slots, latest = np.unique(slot[hit], return_index=True)
@@ -376,7 +405,7 @@ class ReplayBuffer:
             self._rand_seen += len(t)
         cap = self._cap["seq"]
         if cap:
-            self.seq = Transition.concat(self.seq, t)[-cap:]
+            self.seq = _keep_last(self.seq, t, np.arange(len(t)), cap)
             self.seq_projects = np.concatenate([self.seq_projects, np.broadcast_to(project, len(t))])[-cap:]
             newest = self.seq_projects[::-1]
             _, first, which = np.unique(newest, return_index=True, return_inverse=True)
@@ -423,6 +452,23 @@ class ReplayBuffer:
                 parts.append(pool[self.rng.choice(len(pool), size=k, replace=len(pool) < k)])
         tags = np.repeat(PARTITIONS, [quotas[name] for name in PARTITIONS]).tolist()
         return Transition.concat(*parts), tags
+
+
+def _keep_last(old: Transition, t: Transition, rows: np.ndarray, cap: int) -> Transition:
+    """The last `cap` of `old`'s rows followed by `t[rows]`, in new arrays
+    that hold each kept row once (`old` itself when `rows` is empty)."""
+    if not len(rows):
+        return old
+    rows = rows[max(len(rows) - cap, 0):]
+    kept = min(len(old), cap - len(rows))
+    arrays = []
+    for part, new in zip(old.arrays(), t.arrays()):
+        out = np.empty((kept + len(rows),) + new.shape[1:], np.result_type(part, new) if kept else new.dtype)
+        if kept:  # `_NO_ROWS` has no columns to copy
+            out[:kept] = part[len(part) - kept:]
+        np.take(new, rows, axis=0, out=out[kept:], mode="clip")  # "raise" would buffer `out`
+        arrays.append(out)
+    return Transition(*arrays)
 
 
 def partition_weights(tags: list[str], mu: tuple[float, float, float]) -> np.ndarray:
@@ -504,7 +550,9 @@ def recommend(query, k: int, net: QNetwork, rep: RepresentativeTable,
     result pairs each action with the Q-value it was picked at. A list of
     queries is answered in lockstep, one batched forward per step (in
     one-shot mode, the first step only) for each block of queries; the
-    single query is the block of one.
+    single query is the block of one. When there are several blocks, the
+    helper thread of `optim.both` answers the last ones, about half of
+    the queries, while the caller answers the rest.
     """
     items = list(query)
     single = not items or isinstance(items[0], numbers.Integral)
@@ -515,17 +563,35 @@ def recommend(query, k: int, net: QNetwork, rep: RepresentativeTable,
         raise DataError(f"k must be >= 1, got {k}")
     if mode not in MODES:
         raise DataError(f"unknown recommendation mode: {mode}")
-    answers = []
-    for start in range(0, len(queries), _BLOCK):
-        answers.extend(_answer_block(queries[start:start + _BLOCK], k, net, rep, mode))
+
+    def answer(part, scratch):
+        return [picks for start in range(0, len(part), _BLOCK)
+                for picks in _answer_block(part[start:start + _BLOCK], k, net, rep, mode, *scratch)]
+
+    def scratch(part):  # made by the caller for either half, so it comes from the caller's heap
+        shape = (min(len(part), _BLOCK), len(rep.has_rep))
+        return np.empty(shape, net.params["wa"].dtype), np.empty(shape, dtype=bool)
+
+    split = max(1, round(len(queries) / (2 * _BLOCK))) * _BLOCK
+    head, tail = queries[:split], queries[split:]
+    if tail:
+        later, answers = both(partial(answer, tail, scratch(tail)), lambda: answer(head, scratch(head)))
+        answers += later
+    else:
+        answers = answer(head, scratch(head))
+    for picks in answers:  # here, so that they come from the caller in query order
+        if len(picks) < k:
+            warnings.warn(f"only {len(picks)} recommendable libraries for k={k}; truncating")
     if not with_scores:
         answers = [[a for a, _ in picks] for picks in answers]
     return answers[0] if single else answers
 
 
 def _answer_block(queries: list[list[int]], k: int, net: QNetwork, rep: RepresentativeTable,
-                  mode: str) -> list[list[tuple[int, float]]]:
-    """(action, Q-value) picks for each of a block of distinct-item queries."""
+                  mode: str, scores: np.ndarray, blocked: np.ndarray) -> list[list[tuple[int, float]]]:
+    """(action, Q-value) picks for each of a block of distinct-item queries.
+    `scores` and `blocked` are (B, M) scratch arrays of at least its rows:
+    the forward writes into the first, the second masks what a row may not pick."""
     b = len(queries)
     count = np.array([len(q) for q in queries])
     rows = np.repeat(np.arange(b), count)
@@ -533,31 +599,30 @@ def _answer_block(queries: list[list[int]], k: int, net: QNetwork, rep: Represen
     # The state is total / count, as in `aggregate`; adding each pick's row
     # keeps every state bitwise equal to aggregate(known).
     total = segment_sums(rows, cols, b, rep)
-    allowed = np.repeat(rep.has_rep[None, :], b, axis=0)
-    allowed[rows, cols] = False
-    available = allowed.sum(axis=1)
-    for n in available[available < k].tolist():
-        warnings.warn(f"only {n} recommendable libraries for k={k}; truncating")
+    blocked = blocked[:b]
+    np.copyto(blocked, ~rep.has_rep)
+    blocked[rows, cols] = True
+    available = len(rep.has_rep) - np.count_nonzero(blocked, axis=1)  # below k, the answer truncates
     take = np.minimum(available, min(k, len(rep.has_rep)))  # k may exceed int64
 
     picks: list[list[tuple[int, float]]] = [[] for _ in range(b)]
     live = np.arange(b)  # block rows still picking; the arrays below hold only theirs
-    q = np.zeros((b, 0))  # scored at the first step; one-shot picks from these scores alone
+    q = scores[:b]  # scored at the first step; one-shot picks from these scores alone
     step = 0
     while True:
         keep = take[live] > step
         if not keep.all():
-            live, total, count, allowed, q = live[keep], total[keep], count[keep], allowed[keep], q[keep]
+            live, total, count, blocked, q = live[keep], total[keep], count[keep], blocked[keep], q[keep]
         if not live.size:
             return picks
         if mode == "sequential" or not step:
-            q = net.forward(total / count[:, None])
-            np.copyto(q, -np.inf, where=~allowed)  # every pick is allowed, so its Q-value stays
+            q = net.forward(total / count[:, None], out=scores[:len(live)])
+            np.copyto(q, -np.inf, where=blocked)  # every pick is allowed, so its Q-value stays
         actions = q.argmax(axis=1)  # first maximum: lowest index
         at = np.arange(len(live))
         for r, a, v in zip(live.tolist(), actions.tolist(), q[at, actions].tolist()):
             picks[r].append((a, v))
-        allowed[at, actions] = False
+        blocked[at, actions] = True
         q[at, actions] = -np.inf
         total += rep.vectors[actions]
         count += 1

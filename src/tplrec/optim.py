@@ -1,7 +1,12 @@
-"""Small numpy optimizers and learning-rate schedules."""
+"""Small numpy optimizers and learning-rate schedules, and the helper
+thread that runs one of two independent calls beside the other."""
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -72,3 +77,46 @@ def cosine_annealed_lr(base_lr: float, step: int, total_steps: int) -> float:
     """Cosine decay from base_lr to 0 over total_steps >= 1."""
     frac = min(max(step, 0), total_steps) / total_steps
     return 0.5 * base_lr * (1.0 + math.cos(math.pi * frac))
+
+
+_helper: ThreadPoolExecutor | None = None
+_on_helper = threading.local()
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: `both` runs inline when there is one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _mark_helper() -> None:
+    _on_helper.active = True
+
+
+def _forget_helper() -> None:
+    global _helper
+    _helper = None  # a forked child has no helper thread; it starts its own
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def both(f, g):
+    """`(f(), g())`, with `f` on one helper thread beside `g` in the caller.
+
+    `f` runs in a copy of the caller's context (NumPy's `errstate` lives
+    there). The caller waits for `f` before it returns or raises: `g`'s
+    exception wins, else `f`'s is raised. On one CPU, or called from the
+    helper itself, both run inline, `f` first, and no thread starts.
+    """
+    global _helper
+    if _cpus() < 2 or getattr(_on_helper, "active", False):
+        return f(), g()
+    if _helper is None:
+        _helper = ThreadPoolExecutor(1, "tplrec-helper", initializer=_mark_helper)
+    done = _helper.submit(contextvars.copy_context().run, f)
+    try:
+        second = g()
+    finally:
+        wait([done])
+    return done.result(), second
