@@ -131,8 +131,7 @@ class QNetwork:
         The network computes in its parameters' dtype: float32 when trained
         or loaded from an artifact, float64 as drawn by the constructor."""
         states = np.atleast_2d(states).astype(self.params["w1"].dtype, copy=False)
-        z = states @ self.params["w1"].T
-        z += self.params["b1"]
+        z = states @ self.params["w1"].T + self.params["b1"]
         return states, z, np.maximum(z, 0.0)
 
     def streams(self, states: np.ndarray, out: np.ndarray | None = None):
@@ -529,6 +528,7 @@ def train_agent(train: InteractionDataset, table: EmbeddingTable, rep: Represent
                 raise NumericError(f"CQL regularizer went negative: {reg.min()}")
             opt.lr = cosine_annealed_lr(cfg.learning_rate, step, total_steps)
             opt.step(net.params, grads)
+            del grads  # parameter-sized: not held through the next step's forwards
             step += 1
             if step % cfg.target_sync == 0:
                 target = net.clone()
@@ -575,7 +575,7 @@ def recommend(query, k: int, net: QNetwork, rep: RepresentativeTable,
     split = max(1, round(len(queries) / (2 * _BLOCK))) * _BLOCK
     head, tail = queries[:split], queries[split:]
     if tail:
-        later, answers = both(partial(answer, tail, scratch(tail)), lambda: answer(head, scratch(head)))
+        later, answers = both(partial(answer, tail, scratch(tail)), partial(answer, head, scratch(head)))
         answers += later
     else:
         answers = answer(head, scratch(head))
