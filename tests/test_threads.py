@@ -224,9 +224,9 @@ class TestTrainParity:
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 def test_one_cpu_run_starts_no_thread():
     """With one CPU allowed, training and a several-block recommend run inline."""
-    script = f"""
+    script = """
 import os, threading
-os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
 from tplrec import optim
 from tplrec.agent import AgentConfig, recommend, train_agent
@@ -234,7 +234,7 @@ from tplrec.coldstart import build_representatives
 from tplrec.data import ingest
 from tplrec.embed import EmbeddingTable
 rng = np.random.default_rng(1)
-ds = ingest([f"p{{u}}\\tl{{i}}" for u in range(30) for i in rng.choice(60, 5, replace=False)])
+ds = ingest([f"p{u}\\tl{i}" for u in range(30) for i in rng.choice(60, 5, replace=False)])
 rows = rng.normal(size=(ds.n_projects + ds.n_libraries, 4))
 table = EmbeddingTable(rows[:ds.n_projects], rows[ds.n_projects:])
 rep = build_representatives(table, ds, 0.5)
