@@ -114,7 +114,6 @@ class QNetwork:
         self.state_dim = state_dim
         self.n_actions = n_actions
         self.hidden = hidden
-        self.model_id: str | None = None  # the id of the model it was loaded from
         s1 = np.sqrt(2.0 / state_dim)
         s2 = np.sqrt(2.0 / hidden)
         self.params: dict[str, np.ndarray] = {
@@ -191,7 +190,6 @@ class QNetwork:
         net.hidden, net.state_dim = params["w1"].shape
         net.n_actions = params["wa"].shape[0]
         net.params = params
-        net.model_id = None
         return net
 
     def clone(self) -> "QNetwork":
@@ -214,23 +212,19 @@ def _qnet_layout(d: int, h: int, m: int):
 def qnetwork_artifact(net: QNetwork) -> Artifact:
     """Artifact TPLQ with dims (state, hidden, actions): the parameter
     arrays w1, b1, wv, bv, wa, ba in that order as float32."""
-    return Artifact.of(_MAGIC_Q, (net.state_dim, net.hidden, net.n_actions),
-                       [(net.params[name], "<f4") for name in _QNET_PARAMS])
+    return Artifact.of(_MAGIC_Q, _qnet_layout, (net.state_dim, net.hidden, net.n_actions),
+                       [net.params[name] for name in _QNET_PARAMS])
 
 
 def save_qnetwork(path, net: QNetwork, model_id: str | None = None) -> None:
-    """Write the artifact stamped with `model_id`, else with the id the
-    network was loaded with, else with its own."""
-    qnetwork_artifact(net).write(path, model_id or net.model_id)
+    """Write the artifact stamped with `model_id`, else with its own id."""
+    qnetwork_artifact(net).write(path, model_id)
 
 
-def load_qnetwork(path) -> QNetwork:
+def load_qnetwork(path, model_id: str | None = None) -> QNetwork:
     """The network of an artifact, holding its float32 arrays: read-only
     views of the file's bytes, so it scores in float32."""
-    model_id, arrays = read_artifact(path, _MAGIC_Q, _qnet_layout)
-    net = QNetwork.from_params(dict(zip(_QNET_PARAMS, arrays)))
-    net.model_id = model_id
-    return net
+    return QNetwork.from_params(dict(zip(_QNET_PARAMS, read_artifact(path, _MAGIC_Q, _qnet_layout, model_id))))
 
 
 def reward(state: np.ndarray, action, lib_table: np.ndarray):

@@ -7,8 +7,9 @@ back, each row-major in its stored dtype. The dimensions fix every
 array's shape, so the header implies the file's length. `tplrec train`
 stamps one model id, a digest of all its artifacts' payloads, into
 every artifact it writes, so a reader can tell whether files come from
-the same training run without hashing them. The training curves beside
-them are CSV (`write_csv`).
+the same training run without hashing them: `read_artifact` compares
+it. One layout per magic lists the arrays for `Artifact.of` and
+`read_artifact` alike. The training curves beside them are CSV.
 """
 from __future__ import annotations
 
@@ -38,10 +39,12 @@ class Artifact:
     payload: bytes
 
     @classmethod
-    def of(cls, magic: bytes, dims, arrays) -> "Artifact":
-        """Encode each (array, stored dtype) pair of `arrays` in order."""
-        return cls(magic, tuple(int(x) for x in dims),
-                   b"".join(np.asarray(array).astype(dtype).tobytes() for array, dtype in arrays))
+    def of(cls, magic: bytes, layout, dims, arrays) -> "Artifact":
+        """Encode `arrays` in order, each in the (shape, stored dtype) that
+        `layout(*dims)` lists for it."""
+        dims = tuple(int(x) for x in dims)
+        return cls(magic, dims, b"".join(np.asarray(array).astype(dtype).reshape(shape).tobytes()
+                                         for array, (shape, dtype) in zip(arrays, layout(*dims), strict=True)))
 
     def write(self, path, model_id: str | None = None) -> bytes:
         """Write the header, then the payload, and return the bytes written;
@@ -63,14 +66,14 @@ def model_id_of(*artifacts: Artifact) -> str:
     return digest.hexdigest()[:2 * ID_BYTES]
 
 
-def read_artifact(path, magic: bytes, layout) -> tuple[str, list[np.ndarray]]:
-    """The model id and the arrays of an artifact, where `layout(*dims)`
-    lists each array's (shape, stored dtype). The arrays are read-only
-    views of the file's bytes, not copies.
+def read_artifact(path, magic: bytes, layout, model_id: str | None = None) -> list[np.ndarray]:
+    """The arrays of an artifact, where `layout(*dims)` lists each array's
+    (shape, stored dtype). The arrays are read-only views of the file's
+    bytes, not copies.
 
-    Raises DataError on a wrong magic or version, when the file's
-    length differs from the one its header implies, or when a float
-    array holds NaN or Inf.
+    Raises DataError on a wrong magic or version, a model id other than
+    `model_id` (when given), a file length other than the one its header
+    implies, or a float array holding NaN or Inf.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != magic:
@@ -81,7 +84,10 @@ def read_artifact(path, magic: bytes, layout) -> tuple[str, list[np.ndarray]]:
         raise DataError(f"unsupported version {raw[4]} in {path} (expected {VERSION}; retrain the model)")
     if len(raw) < _HEADER.size:
         raise DataError(f"truncated header in {path}")
-    _, _, *dims, model_id = _HEADER.unpack_from(raw)
+    _, _, *dims, found = _HEADER.unpack_from(raw)
+    if model_id is not None and found.hex() != model_id:
+        raise DataError(f"{path} has model id {found.hex()}, not {model_id or 'none'}: "
+                        "the files come from different trainings")
     parts = [(shape, np.dtype(dtype)) for shape, dtype in layout(*dims)]
     sizes = [int(np.prod(shape)) * dtype.itemsize for shape, dtype in parts]
     expected = _HEADER.size + sum(sizes)
@@ -94,7 +100,7 @@ def read_artifact(path, magic: bytes, layout) -> tuple[str, list[np.ndarray]]:
             raise DataError(f"{path} holds non-finite values")
         arrays.append(array)
         off += size
-    return model_id.hex(), arrays
+    return arrays
 
 
 def write_csv(path, rows) -> bytes:

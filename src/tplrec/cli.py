@@ -206,21 +206,15 @@ def cmd_recommend(args) -> int:
     if not query_ids:
         raise UsageError("--query must name at least one library")
     model_dir = Path(args.model_dir)
-    for name in ("qnet.tplq", "representatives.tplr", "vocab.tsv"):
-        if not (model_dir / name).is_file():
-            raise DataError(f"missing model artifact: {model_dir / name}")
     libraries = _Libraries(model_dir / "vocab.tsv")
     query = [libraries.index(q) for q in query_ids]
     unknown = [q for q, j in zip(query_ids, query) if j is None]
     if unknown:
         raise DataError(f"unknown library ids: {', '.join(map(repr, unknown))}")
 
-    net = load_qnetwork(model_dir / "qnet.tplq")
-    rep = RepresentativeTable.load(model_dir / "representatives.tplr")
-    ids = {"vocab.tsv": libraries.model_id, "qnet.tplq": net.model_id, "representatives.tplr": rep.model_id}
-    if len(set(ids.values())) != 1:
-        raise DataError(f"{model_dir} mixes files of different trainings: "
-                        + ", ".join(f"{name} has model id {i or 'none'}" for name, i in ids.items()))
+    model_id = libraries.model_id or ""  # a vocabulary without a model line matches no artifact
+    net = load_qnetwork(model_dir / "qnet.tplq", model_id)
+    rep = RepresentativeTable.load(model_dir / "representatives.tplr", model_id)
     picks = recommend(query, args.k, net, rep, mode=args.mode, with_scores=True)
     for rank, (a, qval) in enumerate(picks, 1):
         print(f"{rank}\t{libraries[a]}\t{qval:.6f}")

@@ -27,7 +27,6 @@ class RepresentativeTable:
     vectors: np.ndarray
     blend: float
     has_rep: np.ndarray  # bool mask: libraries with >= 1 training interaction
-    model_id: str | None = None  # the id of the model it was loaded from
 
     @property
     def dim(self) -> int:
@@ -38,24 +37,25 @@ class RepresentativeTable:
         no project rows, then the blend weight as float32 and the
         availability mask as one byte per library."""
         m, d = self.vectors.shape
-        return Artifact.of(_MAGIC_REP, (0, m, d),
-                           [(self.vectors, "<f4"), ([self.blend], "<f4"), (self.has_rep, np.uint8)])
+        return Artifact.of(_MAGIC_REP, _rep_layout, (0, m, d),
+                           [np.empty((0, d)), self.vectors, [self.blend], self.has_rep])
 
     def save(self, path, model_id: str | None = None) -> None:
-        """Write the artifact stamped with `model_id`, else with the id it
-        was loaded with, else with its own."""
-        self.artifact().write(path, model_id or self.model_id)
+        """Write the artifact stamped with `model_id`, else with its own id."""
+        self.artifact().write(path, model_id)
 
     @classmethod
-    def load(cls, path) -> "RepresentativeTable":
+    def load(cls, path, model_id: str | None = None) -> "RepresentativeTable":
         """The table of an artifact, its vectors the file's float32 values;
         states summed from them are float64, as from a float64 table."""
-        model_id, (_, vectors, blend, mask) = read_artifact(path, _MAGIC_REP, lambda n, m, d: [
-            ((n, d), "<f4"), ((m, d), "<f4"), ((1,), "<f4"), ((m,), np.uint8),
-        ])
+        _, vectors, blend, mask = read_artifact(path, _MAGIC_REP, _rep_layout, model_id)
         if (mask > 1).any():
             raise DataError(f"{path}: availability mask byte {int(mask.max())} is neither 0 nor 1")
-        return cls(vectors=vectors, blend=float(blend[0]), has_rep=mask == 1, model_id=model_id)
+        return cls(vectors=vectors, blend=float(blend[0]), has_rep=mask == 1)
+
+
+def _rep_layout(n: int, m: int, d: int):
+    return [((n, d), "<f4"), ((m, d), "<f4"), ((1,), "<f4"), ((m,), np.uint8)]
 
 
 def build_representatives(table: EmbeddingTable, train: InteractionDataset, blend: float) -> RepresentativeTable:

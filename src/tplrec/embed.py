@@ -70,7 +70,6 @@ class EmbeddingTable:
 
     projects: np.ndarray
     libraries: np.ndarray
-    model_id: str | None = None  # the id of the model it was loaded from
 
     @property
     def dim(self) -> int:
@@ -87,18 +86,21 @@ class EmbeddingTable:
     def artifact(self) -> Artifact:
         """Artifact TPLE with dims (N, M, d): the N*d project values, then
         the M*d library values, as float32."""
-        return Artifact.of(_MAGIC_EMB, (len(self.projects), len(self.libraries), self.dim),
-                           [(self.projects, "<f4"), (self.libraries, "<f4")])
+        return Artifact.of(_MAGIC_EMB, _table_layout, (len(self.projects), len(self.libraries), self.dim),
+                           [self.projects, self.libraries])
 
     def save(self, path, model_id: str | None = None) -> None:
-        """Write the artifact stamped with `model_id`, else with the id it
-        was loaded with, else with its own."""
-        self.artifact().write(path, model_id or self.model_id)
+        """Write the artifact stamped with `model_id`, else with its own id."""
+        self.artifact().write(path, model_id)
 
     @classmethod
-    def load(cls, path) -> "EmbeddingTable":
-        model_id, (proj, lib) = read_artifact(path, _MAGIC_EMB, lambda n, m, d: [((n, d), "<f4"), ((m, d), "<f4")])
-        return cls(proj.astype(np.float64), lib.astype(np.float64), model_id)
+    def load(cls, path, model_id: str | None = None) -> "EmbeddingTable":
+        proj, lib = read_artifact(path, _MAGIC_EMB, _table_layout, model_id)
+        return cls(proj.astype(np.float64), lib.astype(np.float64))
+
+
+def _table_layout(n: int, m: int, d: int):
+    return [((n, d), "<f4"), ((m, d), "<f4")]
 
 
 def build_adjacency(ds: InteractionDataset) -> sp.csr_matrix:

@@ -30,6 +30,10 @@ def write_model(path):
                                     + "".join(f"library\tlib{i}\n" for i in range(m)))
 
 
+def model_id(path):
+    return (path / "vocab.tsv").read_text().splitlines()[0].split("\t")[1]
+
+
 def resize(path, change):
     raw = path.read_bytes()
     path.write_bytes(raw[:change] if change < 0 else raw + bytes(change))
@@ -39,12 +43,13 @@ def resize(path, change):
 def test_save_load_save_is_byte_identical(tmp_path, name):
     write_model(tmp_path)
     raw = (tmp_path / name).read_bytes()
-    loaded = LOADERS[name](tmp_path / name)
+    stamp = model_id(tmp_path)
+    loaded = LOADERS[name](tmp_path / name, stamp)
     again = tmp_path / ("again-" + name)
     if name == "qnet.tplq":
-        save_qnetwork(again, loaded)
+        save_qnetwork(again, loaded, stamp)
     else:
-        loaded.save(again)
+        loaded.save(again, stamp)
     assert again.read_bytes() == raw
 
 
@@ -122,14 +127,23 @@ def test_other_version_rejected(tmp_path, name):
 
 def test_loaded_model_ids_agree_and_survive_a_save(tmp_path):
     write_model(tmp_path)
-    model_id = (tmp_path / "vocab.tsv").read_text().splitlines()[0].split("\t")[1]
-    loaded = {name: load(tmp_path / name) for name, load in LOADERS.items()}
-    assert {obj.model_id for obj in loaded.values()} == {model_id}
-    save_qnetwork(tmp_path / "again.tplq", loaded["qnet.tplq"])
-    assert load_qnetwork(tmp_path / "again.tplq").model_id == model_id
+    stamp = model_id(tmp_path)
+    loaded = {name: load(tmp_path / name, stamp) for name, load in LOADERS.items()}
+    save_qnetwork(tmp_path / "again.tplq", loaded["qnet.tplq"], stamp)
+    load_qnetwork(tmp_path / "again.tplq", stamp)
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_reader_rejects_another_model_id(tmp_path, name):
+    write_model(tmp_path)
+    stamp = model_id(tmp_path)
+    LOADERS[name](tmp_path / name, stamp)
+    other = format(int(stamp, 16) ^ 1, "016x")
+    with pytest.raises(DataError, match=f"{name} has model id {stamp}, not {other}"):
+        LOADERS[name](tmp_path / name, other)
 
 
 def test_unstamped_save_uses_its_own_payload_id(tmp_path):
     net = QNetwork(3, 4, hidden=5, rng=2)
     save_qnetwork(tmp_path / "q.tplq", net)
-    assert load_qnetwork(tmp_path / "q.tplq").model_id == model_id_of(qnetwork_artifact(net))
+    assert (tmp_path / "q.tplq").read_bytes()[20:28].hex() == model_id_of(qnetwork_artifact(net))
