@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,9 +72,9 @@ def read_artifact(path, magic: bytes, layout, model_id: str | None = None) -> li
     (shape, stored dtype). The arrays are read-only views of the file's
     bytes, not copies.
 
-    Raises DataError on a wrong magic or version, a model id other than
-    `model_id` (when given), a file length other than the one its header
-    implies, or a float array holding NaN or Inf.
+    Raises DataError on a wrong magic or version, nonzero pad bytes, a
+    model id other than `model_id` (when given), a file length other
+    than the one its header implies, or a float array holding NaN or Inf.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != magic:
@@ -84,12 +85,14 @@ def read_artifact(path, magic: bytes, layout, model_id: str | None = None) -> li
         raise DataError(f"unsupported version {raw[4]} in {path} (expected {VERSION}; retrain the model)")
     if len(raw) < _HEADER.size:
         raise DataError(f"truncated header in {path}")
+    if any(raw[5:8]):
+        raise DataError(f"nonzero pad bytes in the header of {path}")
     _, _, *dims, found = _HEADER.unpack_from(raw)
     if model_id is not None and found.hex() != model_id:
         raise DataError(f"{path} has model id {found.hex()}, not {model_id or 'none'}: "
                         "the files come from different trainings")
     parts = [(shape, np.dtype(dtype)) for shape, dtype in layout(*dims)]
-    sizes = [int(np.prod(shape)) * dtype.itemsize for shape, dtype in parts]
+    sizes = [math.prod(shape) * dtype.itemsize for shape, dtype in parts]
     expected = _HEADER.size + sum(sizes)
     if len(raw) != expected:
         raise DataError(f"{path} has {len(raw)} bytes where its header implies {expected}")

@@ -134,15 +134,24 @@ def _write_vocab(path: Path, ds: InteractionDataset, model_id: str) -> bytes:
 
 class _Libraries:
     """The model id and the library lines of a vocabulary file, looked up in
-    its bytes: a query needs a few names, not a string per library."""
+    its bytes: a query needs a few names, not a string per library. The
+    file is decoded once, to refuse one that is not UTF-8."""
 
     def __init__(self, path: Path):
-        raw = b"\n" + path.read_bytes()  # every line, the first too, follows a newline
+        raw = path.read_bytes()
+        try:
+            raw.decode()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+        raw = b"\n" + raw  # every line, the first too, follows a newline
         self.raw = raw if raw.endswith(b"\n") else raw + b"\n"
         self.model_id = raw[7:raw.find(b"\n", 1)].decode() if raw.startswith(b"\nmodel\t") else None
         first = self.raw.find(b"\nlibrary\t")
         self.start = len(self.raw) if first < 0 else first + 1
         self.ends = self.start + np.flatnonzero(np.frombuffer(self.raw, np.uint8)[self.start:] == 10)
+
+    def __len__(self) -> int:
+        return len(self.ends)
 
     def index(self, name: str) -> int | None:
         """The library index of `name`, or None if no library line holds it."""
@@ -215,6 +224,9 @@ def cmd_recommend(args) -> int:
     model_id = libraries.model_id or ""  # a vocabulary without a model line matches no artifact
     net = load_qnetwork(model_dir / "qnet.tplq", model_id)
     rep = RepresentativeTable.load(model_dir / "representatives.tplr", model_id)
+    if len(libraries) != net.n_actions:
+        raise DataError(f"{model_dir / 'vocab.tsv'} lists {len(libraries)} libraries where the model has "
+                        f"{net.n_actions}")
     picks = recommend(query, args.k, net, rep, mode=args.mode, with_scores=True)
     for rank, (a, qval) in enumerate(picks, 1):
         print(f"{rank}\t{libraries[a]}\t{qval:.6f}")
@@ -285,6 +297,11 @@ def main(argv: list[str] | None = None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else None
     parser = build_parser(command)
     try:
+        for arg in argv:  # argument bytes that are not UTF-8 reach Python as lone surrogates
+            try:
+                arg.encode()
+            except UnicodeEncodeError:
+                raise UsageError(f"argument {arg!r} is not UTF-8") from None
         args, extra = parser.parse_known_args(argv[1:] if command else argv)
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tplrec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig, UsageError, _Libraries, load_config, main
+from tplrec.errors import DataError
 from tplrec.synth import head_tail, planted_communities
 
 
@@ -177,6 +178,21 @@ class TestExitCodes:
         bad.write_text("a\tb\tc\td\n")
         assert main(["ingest", str(bad)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("command", ["recommend", "train"])
+    def test_argument_not_utf8_is_one_usage_line(self, dataset_file, tmp_path, capsys, command):
+        # an argument byte 0xff, as Python decodes it on Linux: a lone surrogate
+        path, _ = dataset_file
+        argv = {
+            "recommend": ["recommend", "--model-dir", str(tmp_path), "--query", "\udcff"],
+            "train": ["train", "--dataset", str(path), "--output", str(tmp_path / "m\udcff"), *FAST_TRAIN],
+        }[command]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:") and "not UTF-8" in err[0], err
+        assert [p.name for p in tmp_path.iterdir()] == ["data.tsv"]  # refused before any work
+
 
 class TestIngest:
     def test_summary_output(self, dataset_file, capsys):
@@ -209,6 +225,15 @@ class TestVocabularyLookup:
         assert (libraries.index("x"), libraries.index("y"), libraries[1]) == (0, 1, "y")
         path.write_text("project\tp\n")
         assert _Libraries(path).index("p") is None
+
+    @pytest.mark.parametrize("line", [0, 3], ids=["model line", "unprinted library line"])
+    def test_file_not_utf8_is_data_error(self, tmp_path, line):
+        lines = [b"model\tabc", b"project\tp0", b"library\tx", b"library\ty"]
+        lines[line] += b"\xff"
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DataError, match="vocab.tsv is not UTF-8"):
+            _Libraries(path)
 
 
 class TestTrainRecommend:
@@ -386,6 +411,18 @@ class TestTrainRecommend:
         query = ds.libraries[ds.by_project[0][0]]
         self.assert_one_data_error(["recommend", "--model-dir", str(a), "--query", query], capsys,
                                    "model id", "representatives.tplr")
+
+    def test_vocabulary_shorter_than_the_model_is_data_error(self, dataset_file, tmp_path, capsys):
+        path, ds = dataset_file
+        out = tmp_path / "model"
+        assert self.run_train(path, out) == EXIT_OK
+        vocab = out / "vocab.tsv"
+        lines = vocab.read_text().splitlines(keepends=True)
+        first = next(j for j, line in enumerate(lines) if line.startswith("library\t"))
+        vocab.write_text("".join(lines[:first + 3]))  # the model line is intact
+        query = lines[first].split("\t")[1].strip()
+        self.assert_one_data_error(["recommend", "--model-dir", str(out), "--query", query, "--k", "5"],
+                                   capsys, "vocab.tsv", f"lists 3 libraries where the model has {ds.n_libraries}")
 
     def test_corrupt_availability_mask_is_data_error(self, dataset_file, tmp_path, capsys):
         path, ds = dataset_file

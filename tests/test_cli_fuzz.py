@@ -72,7 +72,11 @@ def test_train_and_evaluate(workdir, command, kv, junk):
     check(*run(argv))
 
 
-@given(kv=setting(["k", "mode"]), junk=st.one_of(st.just(""), st.text(min_size=1, max_size=8)))
+# Lone surrogates are how Python decodes argument bytes that are not UTF-8.
+JUNK = st.text(st.one_of(st.characters(), st.characters(categories=["Cs"])), min_size=1, max_size=8)
+
+
+@given(kv=setting(["k", "mode"]), junk=st.one_of(st.just(""), JUNK))
 @settings(max_examples=100, deadline=None)
 def test_recommend(workdir, kv, junk):
     _, ds = workdir

@@ -1,0 +1,109 @@
+"""A damaged model directory: `tplrec recommend` exits 2, prints nothing
+on stdout and one `data error:` line on stderr, whatever the damage.
+
+The damage drawn, one kind per example, to a small trained model:
+- `qnet.tplq` or `representatives.tplr` truncated or extended;
+- `vocab.tsv` cut before its last library line;
+- any one of the 28 header bytes of either binary file set to another
+  value;
+- a file that `recommend` reads swapped for the same file of a training
+  with another seed;
+- such a file deleted;
+- a byte that is not UTF-8 put into a vocabulary line.
+
+Not covered: a payload byte changed so that its value stays finite.
+Nothing is hashed on load (README gives the cost), so such a file is
+served as it stands.
+"""
+import contextlib
+import io
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tplrec.cli import EXIT_DATA, EXIT_OK, main
+from tplrec.synth import planted_communities
+
+BINARY = ("qnet.tplq", "representatives.tplr")
+READ = (*BINARY, "vocab.tsv")
+HEADER_BYTES = 28
+TINY = ["--dim", "4", "--embed-batch", "64", "--negatives", "4", "--patience", "2", "--embed-epochs", "3",
+        "--agent-epochs", "1", "--agent-batch", "16", "--hidden", "8", "--transitions-per-project", "1"]
+
+
+def run(argv) -> tuple[int, str, list[str]]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue().splitlines()
+
+
+@pytest.fixture(scope="module")
+def models(tmp_path_factory):
+    """Two trainings on one tiny dataset, seeds 0 and 1, and a query that
+    the seed-0 model answers."""
+    root = tmp_path_factory.mktemp("models")
+    ds = planted_communities(n_projects=20, n_libraries=12, n_communities=2,
+                             interactions_per_project=4, noise=0.1, seed=5)
+    data = root / "data.tsv"
+    data.write_text("".join(f"{ds.projects[u]}\t{ds.libraries[i]}\n" for u, i in ds.interactions))
+    for seed in (0, 1):
+        argv = ["train", "--dataset", str(data), "--output", str(root / f"seed{seed}"), *TINY, "--seed", str(seed)]
+        assert run(argv)[0] == EXIT_OK
+    query = ",".join(ds.libraries[i] for i in ds.by_project[0][:2])
+    code, out, err = run(recommend_argv(root / "seed0", query))
+    assert (code, err) == (EXIT_OK, []) and len(out.splitlines()) == 3
+    return root, query
+
+
+def recommend_argv(model: Path, query: str) -> list[str]:
+    return ["recommend", "--model-dir", str(model), "--query", query, "--k", "3"]
+
+
+def damage(data, model: Path, other: Path) -> None:
+    """Draw one kind of damage and do it to the files in `model`."""
+    kind = data.draw(st.sampled_from(["resize", "cut vocabulary", "header byte", "swap", "delete", "not UTF-8"]))
+    if kind in ("resize", "header byte"):
+        path = model / data.draw(st.sampled_from(BINARY), label="file")
+        raw = bytearray(path.read_bytes())
+        if kind == "resize":
+            change = data.draw(st.integers(-len(raw), 64).filter(bool), label="change in length")
+            raw = raw[:change] if change < 0 else raw + bytes(change)
+        else:
+            at = data.draw(st.integers(0, HEADER_BYTES - 1), label="offset")
+            raw[at] = data.draw(st.integers(0, 255).filter(lambda v: v != raw[at]), label="value")
+        path.write_bytes(bytes(raw))
+    elif kind == "cut vocabulary":
+        path = model / "vocab.tsv"
+        raw = path.read_bytes()
+        path.write_bytes(raw[:data.draw(st.integers(0, raw.rindex(b"\nlibrary\t") + 1), label="kept bytes")])
+    elif kind in ("swap", "delete"):
+        name = data.draw(st.sampled_from(READ), label="file")
+        (model / name).unlink()
+        if kind == "swap":
+            shutil.copy(other / name, model / name)
+    else:
+        path = model / "vocab.tsv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        j = data.draw(st.integers(0, len(lines) - 1), label="line")
+        at = data.draw(st.integers(0, len(lines[j]) - 1), label="position")  # before the line's newline
+        byte = data.draw(st.integers(0x80, 0xFF), label="byte")  # none of these is UTF-8 among ASCII
+        lines[j] = lines[j][:at] + bytes([byte]) + lines[j][at:]
+        path.write_bytes(b"".join(lines))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_model_directory_is_one_data_error(models, data):
+    root, query = models
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "model"
+        shutil.copytree(root / "seed0", model)
+        damage(data, model, root / "seed1")
+        code, out, err = run(recommend_argv(model, query))
+    assert code == EXIT_DATA and out == "", (code, out, err)
+    assert len(err) == 1 and err[0].startswith("data error:"), err
