@@ -30,7 +30,7 @@ def write_model(path):
                                     + "".join(f"library\tlib{i}\n" for i in range(m)))
 
 
-def model_id(path):
+def stamped_id(path):
     return (path / "vocab.tsv").read_text().splitlines()[0].split("\t")[1]
 
 
@@ -43,7 +43,7 @@ def resize(path, change):
 def test_save_load_save_is_byte_identical(tmp_path, name):
     write_model(tmp_path)
     raw = (tmp_path / name).read_bytes()
-    stamp = model_id(tmp_path)
+    stamp = stamped_id(tmp_path)
     loaded = LOADERS[name](tmp_path / name, stamp)
     again = tmp_path / ("again-" + name)
     if name == "qnet.tplq":
@@ -127,7 +127,7 @@ def test_other_version_rejected(tmp_path, name):
 
 def test_loaded_model_ids_agree_and_survive_a_save(tmp_path):
     write_model(tmp_path)
-    stamp = model_id(tmp_path)
+    stamp = stamped_id(tmp_path)
     loaded = {name: load(tmp_path / name, stamp) for name, load in LOADERS.items()}
     save_qnetwork(tmp_path / "again.tplq", loaded["qnet.tplq"], stamp)
     load_qnetwork(tmp_path / "again.tplq", stamp)
@@ -136,7 +136,7 @@ def test_loaded_model_ids_agree_and_survive_a_save(tmp_path):
 @pytest.mark.parametrize("name", LOADERS)
 def test_reader_rejects_another_model_id(tmp_path, name):
     write_model(tmp_path)
-    stamp = model_id(tmp_path)
+    stamp = stamped_id(tmp_path)
     LOADERS[name](tmp_path / name, stamp)
     other = format(int(stamp, 16) ^ 1, "016x")
     with pytest.raises(DataError, match=f"{name} has model id {stamp}, not {other}"):
