@@ -98,6 +98,8 @@ class AgentConfig:
         for name in ("batch_size", "hidden", "transitions_per_project"):  # array sizes, bound as in EmbedConfig
             if getattr(self, name) > 2**31 - 1:
                 raise ValueError(f"{name} must be at most 2**31 - 1, got {getattr(self, name)}")
+        if self.grad_steps_per_epoch is not None and self.grad_steps_per_epoch < 1:  # None: derived
+            raise ValueError(f"grad_steps_per_epoch must be >= 1, got {self.grad_steps_per_epoch}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -216,15 +218,15 @@ def qnetwork_artifact(net: QNetwork) -> Artifact:
                        [net.params[name] for name in _QNET_PARAMS])
 
 
-def save_qnetwork(path, net: QNetwork, model_id: str | None = None) -> None:
-    """Write the artifact stamped with `model_id`, else with its own id."""
-    qnetwork_artifact(net).write(path, model_id)
+def save_qnetwork(path, net: QNetwork) -> None:
+    """Write the artifact stamped with its own id."""
+    qnetwork_artifact(net).write(path)
 
 
-def load_qnetwork(path, model_id: str | None = None) -> QNetwork:
+def load_qnetwork(path) -> QNetwork:
     """The network of an artifact, holding its float32 arrays: read-only
     views of the file's bytes, so it scores in float32."""
-    return QNetwork.from_params(dict(zip(_QNET_PARAMS, read_artifact(path, _MAGIC_Q, _qnet_layout, model_id))))
+    return QNetwork.from_params(dict(zip(_QNET_PARAMS, read_artifact(path, _MAGIC_Q, _qnet_layout))))
 
 
 def reward(state: np.ndarray, action, lib_table: np.ndarray):

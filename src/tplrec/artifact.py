@@ -6,9 +6,9 @@ dimensions and the 8-byte model id, then the artifact's arrays back to
 back, each row-major in its stored dtype. The dimensions fix every
 array's shape, so the header implies the file's length. `tplrec train`
 stamps one model id, a digest of all its artifacts' payloads, into
-every artifact it writes, so a reader can tell whether files come from
-the same training run without hashing them: `read_artifact` compares
-it. One layout per magic lists the arrays for `Artifact.of` and
+every artifact it writes, so a caller can tell whether files come from
+the same training run without hashing them: `model_id_in` reads it
+back. One layout per magic lists the arrays for `Artifact.of` and
 `read_artifact` alike. The training curves beside them are CSV.
 """
 from __future__ import annotations
@@ -67,14 +67,20 @@ def model_id_of(*artifacts: Artifact) -> str:
     return digest.hexdigest()[:2 * ID_BYTES]
 
 
-def read_artifact(path, magic: bytes, layout, model_id: str | None = None) -> list[np.ndarray]:
+def model_id_in(path) -> str:
+    """The hex model id in an artifact's header, which ends with it."""
+    with open(path, "rb") as file:
+        return file.read(_HEADER.size)[-ID_BYTES:].hex()
+
+
+def read_artifact(path, magic: bytes, layout) -> list[np.ndarray]:
     """The arrays of an artifact, where `layout(*dims)` lists each array's
     (shape, stored dtype). The arrays are read-only views of the file's
     bytes, not copies.
 
     Raises DataError on a wrong magic or version, nonzero pad bytes, a
-    model id other than `model_id` (when given), a file length other
-    than the one its header implies, or a float array holding NaN or Inf.
+    file length other than the one its header implies, or a float array
+    holding NaN or Inf. The model id is not checked: see `model_id_in`.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != magic:
@@ -87,10 +93,7 @@ def read_artifact(path, magic: bytes, layout, model_id: str | None = None) -> li
         raise DataError(f"truncated header in {path}")
     if any(raw[5:8]):
         raise DataError(f"nonzero pad bytes in the header of {path}")
-    _, _, *dims, found = _HEADER.unpack_from(raw)
-    if model_id is not None and found.hex() != model_id:
-        raise DataError(f"{path} has model id {found.hex()}, not {model_id or 'none'}: "
-                        "the files come from different trainings")
+    _, _, *dims, _ = _HEADER.unpack_from(raw)
     parts = [(shape, np.dtype(dtype)) for shape, dtype in layout(*dims)]
     sizes = [math.prod(shape) * dtype.itemsize for shape, dtype in parts]
     expected = _HEADER.size + sum(sizes)

@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import MODES, AgentConfig, load_qnetwork, qnetwork_artifact, recommend, train_agent
+from .agent import MODES, AgentConfig, QNetwork, load_qnetwork, qnetwork_artifact, recommend, train_agent
 # `save_qnetwork` is not called here; perfbench/layers.py wraps it under this module's name.
 from .agent import save_qnetwork  # noqa: F401
-from .artifact import model_id_of
+from .artifact import model_id_in, model_id_of
 from .coldstart import RepresentativeTable, build_representatives
 from .data import InteractionDataset, ingest, popularity, read_lines
 from .embed import EmbedConfig, EmbeddingTable, train_embeddings
@@ -208,25 +208,30 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _load_model(model_dir: Path) -> tuple[_Libraries, QNetwork, RepresentativeTable]:
+    """The vocabulary, Q-network and representative table of a model directory, each checked:
+    the one place that compares model ids. Raises DataError naming each file whose id no other holds."""
+    vocab, qnet, reps = (model_dir / name for name in ("vocab.tsv", "qnet.tplq", "representatives.tplr"))
+    libraries, net, rep = _Libraries(vocab), load_qnetwork(qnet), RepresentativeTable.load(reps)
+    ids = {vocab: libraries.model_id, qnet: model_id_in(qnet), reps: model_id_in(reps)}
+    stray = [f"{path} has model id {i or 'none'}" for path, i in ids.items() if [*ids.values()].count(i) == 1]
+    if stray:
+        raise DataError(", ".join(stray) + ": the files come from different trainings")
+    if len(libraries) != net.n_actions:
+        raise DataError(f"{vocab} lists {len(libraries)} libraries where the model has {net.n_actions}")
+    return libraries, net, rep
+
+
 def cmd_recommend(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     query_ids = [q for q in args.query.split(",") if q]
     if not query_ids:
         raise UsageError("--query must name at least one library")
-    model_dir = Path(args.model_dir)
-    libraries = _Libraries(model_dir / "vocab.tsv")
+    libraries, net, rep = _load_model(Path(args.model_dir))
     query = [libraries.index(q) for q in query_ids]
-    unknown = [q for q, j in zip(query_ids, query) if j is None]
-    if unknown:
-        raise DataError(f"unknown library ids: {', '.join(map(repr, unknown))}")
-
-    model_id = libraries.model_id or ""  # a vocabulary without a model line matches no artifact
-    net = load_qnetwork(model_dir / "qnet.tplq", model_id)
-    rep = RepresentativeTable.load(model_dir / "representatives.tplr", model_id)
-    if len(libraries) != net.n_actions:
-        raise DataError(f"{model_dir / 'vocab.tsv'} lists {len(libraries)} libraries where the model has "
-                        f"{net.n_actions}")
+    if None in query:
+        raise DataError(f"unknown library ids: {', '.join(repr(q) for q, j in zip(query_ids, query) if j is None)}")
     picks = recommend(query, args.k, net, rep, mode=args.mode, with_scores=True)
     for rank, (a, qval) in enumerate(picks, 1):
         print(f"{rank}\t{libraries[a]}\t{qval:.6f}")

@@ -40,15 +40,15 @@ class RepresentativeTable:
         return Artifact.of(_MAGIC_REP, _rep_layout, (0, m, d),
                            [np.empty((0, d)), self.vectors, [self.blend], self.has_rep])
 
-    def save(self, path, model_id: str | None = None) -> None:
-        """Write the artifact stamped with `model_id`, else with its own id."""
-        self.artifact().write(path, model_id)
+    def save(self, path) -> None:
+        """Write the artifact stamped with its own id."""
+        self.artifact().write(path)
 
     @classmethod
-    def load(cls, path, model_id: str | None = None) -> "RepresentativeTable":
+    def load(cls, path) -> "RepresentativeTable":
         """The table of an artifact, its vectors the file's float32 values;
         states summed from them are float64, as from a float64 table."""
-        _, vectors, blend, mask = read_artifact(path, _MAGIC_REP, _rep_layout, model_id)
+        _, vectors, blend, mask = read_artifact(path, _MAGIC_REP, _rep_layout)
         if (mask > 1).any():
             raise DataError(f"{path}: availability mask byte {int(mask.max())} is neither 0 nor 1")
         return cls(vectors=vectors, blend=float(blend[0]), has_rep=mask == 1)

@@ -89,14 +89,14 @@ class EmbeddingTable:
         return Artifact.of(_MAGIC_EMB, _table_layout, (len(self.projects), len(self.libraries), self.dim),
                            [self.projects, self.libraries])
 
-    def save(self, path, model_id: str | None = None) -> None:
-        """Write the artifact stamped with `model_id`, else with its own id."""
-        self.artifact().write(path, model_id)
+    def save(self, path) -> None:
+        """Write the artifact stamped with its own id."""
+        self.artifact().write(path)
 
     @classmethod
-    def load(cls, path, model_id: str | None = None) -> "EmbeddingTable":
-        proj, lib = read_artifact(path, _MAGIC_EMB, _table_layout, model_id)
-        return cls(proj.astype(np.float64), lib.astype(np.float64))
+    def load(cls, path) -> "EmbeddingTable":
+        """The table of an artifact, holding the file's float32 arrays."""
+        return cls(*read_artifact(path, _MAGIC_EMB, _table_layout))
 
 
 def _table_layout(n: int, m: int, d: int):

@@ -863,7 +863,8 @@ class TestTrainAgent:
         with pytest.raises(ValueError):
             AgentConfig(alpha=-1.0)
         for bad in ({"mu": (-0.5, 1.0, 0.5)}, {"mu": (math.nan, 0.5, 0.5)}, {"alpha": math.nan},
-                    {"learning_rate": math.inf}, {"epochs": 0}):
+                    {"learning_rate": math.inf}, {"epochs": 0}, {"grad_steps_per_epoch": 0},
+                    {"grad_steps_per_epoch": -3}):
             with pytest.raises(ValueError):
                 AgentConfig(**bad)
 

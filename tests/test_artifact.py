@@ -3,7 +3,7 @@ import pytest
 
 from tplrec.agent import QNetwork, load_qnetwork, qnetwork_artifact, save_qnetwork
 from tplrec.artifact import model_id_of
-from tplrec.cli import EXIT_DATA, EXIT_OK, main
+from tplrec.cli import EXIT_DATA, EXIT_OK, _load_model, main
 from tplrec.coldstart import RepresentativeTable
 from tplrec.embed import EmbeddingTable
 from tplrec.errors import DataError
@@ -12,6 +12,12 @@ LOADERS = {
     "embeddings.tple": EmbeddingTable.load,
     "representatives.tplr": RepresentativeTable.load,
     "qnet.tplq": load_qnetwork,
+}
+# The artifact of each loaded object, to write it again.
+ARTIFACTS = {
+    "embeddings.tple": EmbeddingTable.artifact,
+    "representatives.tplr": RepresentativeTable.artifact,
+    "qnet.tplq": qnetwork_artifact,
 }
 
 
@@ -22,10 +28,15 @@ def write_model(path):
     emb = EmbeddingTable(rng.normal(size=(4, d)), rng.normal(size=(m, d)))
     rep = RepresentativeTable(rng.normal(size=(m, d)), 0.5, np.ones(m, dtype=bool))
     net = QNetwork(d, m, hidden=5, rng=1)
-    model_id = model_id_of(emb.artifact(), rep.artifact(), qnetwork_artifact(net))
-    emb.save(path / "embeddings.tple", model_id)
-    rep.save(path / "representatives.tplr", model_id)
-    save_qnetwork(path / "qnet.tplq", net, model_id)
+    artifacts = {"embeddings.tple": emb.artifact(), "representatives.tplr": rep.artifact(),
+                 "qnet.tplq": qnetwork_artifact(net)}
+    model_id = model_id_of(*artifacts.values())
+    for name, art in artifacts.items():
+        art.write(path / name, model_id)
+    write_vocab(path, model_id, m)
+
+
+def write_vocab(path, model_id, m=6):
     (path / "vocab.tsv").write_text(f"model\t{model_id}\nproject\tp0\n"
                                     + "".join(f"library\tlib{i}\n" for i in range(m)))
 
@@ -43,13 +54,9 @@ def resize(path, change):
 def test_save_load_save_is_byte_identical(tmp_path, name):
     write_model(tmp_path)
     raw = (tmp_path / name).read_bytes()
-    stamp = stamped_id(tmp_path)
-    loaded = LOADERS[name](tmp_path / name, stamp)
+    loaded = LOADERS[name](tmp_path / name)
     again = tmp_path / ("again-" + name)
-    if name == "qnet.tplq":
-        save_qnetwork(again, loaded, stamp)
-    else:
-        loaded.save(again, stamp)
+    ARTIFACTS[name](loaded).write(again, stamped_id(tmp_path))
     assert again.read_bytes() == raw
 
 
@@ -127,20 +134,32 @@ def test_other_version_rejected(tmp_path, name):
 
 def test_loaded_model_ids_agree_and_survive_a_save(tmp_path):
     write_model(tmp_path)
-    stamp = stamped_id(tmp_path)
-    loaded = {name: load(tmp_path / name, stamp) for name, load in LOADERS.items()}
-    save_qnetwork(tmp_path / "again.tplq", loaded["qnet.tplq"], stamp)
-    load_qnetwork(tmp_path / "again.tplq", stamp)
+    libraries, net, rep = _load_model(tmp_path)
+    assert libraries.model_id == stamped_id(tmp_path)
+    again = tmp_path / "again"
+    again.mkdir()
+    qnetwork_artifact(net).write(again / "qnet.tplq", libraries.model_id)
+    rep.artifact().write(again / "representatives.tplr", libraries.model_id)
+    write_vocab(again, libraries.model_id)
+    _load_model(again)
 
 
-@pytest.mark.parametrize("name", LOADERS)
+@pytest.mark.parametrize("name", ["vocab.tsv", "representatives.tplr", "qnet.tplq"])
 def test_reader_rejects_another_model_id(tmp_path, name):
+    """The model-directory reader names the one file stamped with another
+    id; the per-file loaders take no id and load it."""
     write_model(tmp_path)
     stamp = stamped_id(tmp_path)
-    LOADERS[name](tmp_path / name, stamp)
     other = format(int(stamp, 16) ^ 1, "016x")
-    with pytest.raises(DataError, match=f"{name} has model id {stamp}, not {other}"):
-        LOADERS[name](tmp_path / name, other)
+    if name == "vocab.tsv":
+        write_vocab(tmp_path, other)
+    else:
+        loaded = LOADERS[name](tmp_path / name)
+        ARTIFACTS[name](loaded).write(tmp_path / name, other)
+        LOADERS[name](tmp_path / name)
+    with pytest.raises(DataError) as raised:
+        _load_model(tmp_path)
+    assert str(raised.value) == f"{tmp_path / name} has model id {other}: the files come from different trainings"
 
 
 def test_unstamped_save_uses_its_own_payload_id(tmp_path):

@@ -303,14 +303,12 @@ class TestTrainRecommend:
         assert not names & set(query.split(","))
 
     def test_recommend_equals_in_process_recommend_on_the_loaded_model(self, dataset_file, tmp_path, capsys):
-        from tplrec.agent import load_qnetwork
-        from tplrec.coldstart import RepresentativeTable
+        from tplrec.cli import _load_model
 
         path, _ = dataset_file
         out = tmp_path / "model"
         assert self.run_train(path, out) == EXIT_OK
-        net = load_qnetwork(out / "qnet.tplq")
-        rep = RepresentativeTable.load(out / "representatives.tplr")
+        _, net, rep = _load_model(out)
         self.assert_cli_prints_in_process_picks(path, out, net, rep, capsys)
 
     def assert_cli_prints_in_process_picks(self, path, out, net, rep, capsys):

@@ -1,5 +1,6 @@
 """A damaged model directory: `tplrec recommend` exits 2, prints nothing
-on stdout and one `data error:` line on stderr, whatever the damage.
+on stdout and one `data error:` line on stderr, whatever the damage, and
+that line names the damaged file and no other file that `recommend` reads.
 
 The damage drawn, one kind per example, to a small trained model:
 - `qnet.tplq` or `representatives.tplr` truncated or extended;
@@ -10,6 +11,9 @@ The damage drawn, one kind per example, to a small trained model:
   with another seed;
 - such a file deleted;
 - a byte that is not UTF-8 put into a vocabulary line.
+
+A directory that mixes the three files of three trainings names all
+three.
 
 Not covered: a payload byte changed so that its value stays finite.
 Nothing is hashed on load (README gives the cost), so such a file is
@@ -44,14 +48,14 @@ def run(argv) -> tuple[int, str, list[str]]:
 
 @pytest.fixture(scope="module")
 def models(tmp_path_factory):
-    """Two trainings on one tiny dataset, seeds 0 and 1, and a query that
-    the seed-0 model answers."""
+    """Three trainings on one tiny dataset, seeds 0, 1 and 2, and a query
+    that the seed-0 model answers."""
     root = tmp_path_factory.mktemp("models")
     ds = planted_communities(n_projects=20, n_libraries=12, n_communities=2,
                              interactions_per_project=4, noise=0.1, seed=5)
     data = root / "data.tsv"
     data.write_text("".join(f"{ds.projects[u]}\t{ds.libraries[i]}\n" for u, i in ds.interactions))
-    for seed in (0, 1):
+    for seed in (0, 1, 2):
         argv = ["train", "--dataset", str(data), "--output", str(root / f"seed{seed}"), *TINY, "--seed", str(seed)]
         assert run(argv)[0] == EXIT_OK
     query = ",".join(ds.libraries[i] for i in ds.by_project[0][:2])
@@ -64,11 +68,14 @@ def recommend_argv(model: Path, query: str) -> list[str]:
     return ["recommend", "--model-dir", str(model), "--query", query, "--k", "3"]
 
 
-def damage(data, model: Path, other: Path) -> None:
-    """Draw one kind of damage and do it to the files in `model`."""
+def damage(data, model: Path, other: Path) -> str:
+    """Draw one kind of damage, do it to the files in `model` and return
+    the name of the damaged file."""
     kind = data.draw(st.sampled_from(["resize", "cut vocabulary", "header byte", "swap", "delete", "not UTF-8"]))
+    name = "vocab.tsv"
     if kind in ("resize", "header byte"):
-        path = model / data.draw(st.sampled_from(BINARY), label="file")
+        name = data.draw(st.sampled_from(BINARY), label="file")
+        path = model / name
         raw = bytearray(path.read_bytes())
         if kind == "resize":
             change = data.draw(st.integers(-len(raw), 64).filter(bool), label="change in length")
@@ -78,7 +85,7 @@ def damage(data, model: Path, other: Path) -> None:
             raw[at] = data.draw(st.integers(0, 255).filter(lambda v: v != raw[at]), label="value")
         path.write_bytes(bytes(raw))
     elif kind == "cut vocabulary":
-        path = model / "vocab.tsv"
+        path = model / name
         raw = path.read_bytes()
         path.write_bytes(raw[:data.draw(st.integers(0, raw.rindex(b"\nlibrary\t") + 1), label="kept bytes")])
     elif kind in ("swap", "delete"):
@@ -87,13 +94,14 @@ def damage(data, model: Path, other: Path) -> None:
         if kind == "swap":
             shutil.copy(other / name, model / name)
     else:
-        path = model / "vocab.tsv"
+        path = model / name
         lines = path.read_bytes().splitlines(keepends=True)
         j = data.draw(st.integers(0, len(lines) - 1), label="line")
         at = data.draw(st.integers(0, len(lines[j]) - 1), label="position")  # before the line's newline
         byte = data.draw(st.integers(0x80, 0xFF), label="byte")  # none of these is UTF-8 among ASCII
         lines[j] = lines[j][:at] + bytes([byte]) + lines[j][at:]
         path.write_bytes(b"".join(lines))
+    return name
 
 
 @given(data=st.data())
@@ -103,7 +111,20 @@ def test_damaged_model_directory_is_one_data_error(models, data):
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "model"
         shutil.copytree(root / "seed0", model)
-        damage(data, model, root / "seed1")
+        damaged = damage(data, model, root / "seed1")
         code, out, err = run(recommend_argv(model, query))
     assert code == EXIT_DATA and out == "", (code, out, err)
     assert len(err) == 1 and err[0].startswith("data error:"), err
+    assert [name for name in READ if name in err[0]] == [damaged], err
+
+
+def test_files_of_three_trainings_are_all_named(models, tmp_path):
+    root, query = models
+    model = tmp_path / "model"
+    model.mkdir()
+    for seed, name in enumerate(READ):
+        shutil.copy(root / f"seed{seed}" / name, model / name)
+    code, out, err = run(recommend_argv(model, query))
+    assert code == EXIT_DATA and out == "", (code, out, err)
+    assert len(err) == 1 and err[0].startswith("data error:"), err
+    assert all(str(model / name) in err[0] for name in READ), err
