@@ -50,14 +50,8 @@ class Transition:
     def __getitem__(self, rows) -> "Transition":
         return Transition(*(a[rows] for a in self.arrays()))
 
-    @staticmethod
-    def concat(*batches: "Transition") -> "Transition":
-        """The rows of the nonempty batches in order, in new arrays; `_NO_ROWS` if there are none."""
-        arrays = [b.arrays() for b in batches if len(b)]
-        return Transition(*map(np.concatenate, zip(*arrays))) if arrays else _NO_ROWS
 
-
-# A partition before its first rows; never written in place, as `concat` leaves it out.
+# A partition before its first rows; never written in place, and never sampled.
 _NO_ROWS = Transition(np.zeros((0, 0)), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros((0, 0)),
                       np.zeros(0, dtype=bool))
 
@@ -111,7 +105,7 @@ class QNetwork:
     action catalog.
     """
 
-    def __init__(self, state_dim: int, n_actions: int, hidden: int = 256, rng=None):
+    def __init__(self, state_dim: int, n_actions: int, hidden: int, rng=None):
         rng = np.random.default_rng(rng)
         self.state_dim = state_dim
         self.n_actions = n_actions
@@ -436,7 +430,8 @@ class ReplayBuffer:
         return np.resize(order, k)
 
     def sample(self, batch_size: int) -> tuple[Transition, list[str]]:
-        """Partition-tagged batch honoring the ratio quotas."""
+        """Partition-tagged batch honoring the ratio quotas, in new arrays;
+        `_quotas` gives an empty partition no rows to draw."""
         quotas = self._quotas(batch_size)
         parts = []
         for name in PARTITIONS:
@@ -446,7 +441,7 @@ class ReplayBuffer:
             elif k:
                 parts.append(pool[self.rng.choice(len(pool), size=k, replace=len(pool) < k)])
         tags = np.repeat(PARTITIONS, [quotas[name] for name in PARTITIONS]).tolist()
-        return Transition.concat(*parts), tags
+        return Transition(*map(np.concatenate, zip(*(part.arrays() for part in parts)))), tags
 
 
 def _keep_last(old: Transition, t: Transition, rows: np.ndarray, cap: int) -> Transition:

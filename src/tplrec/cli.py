@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import re
 import sys
 import warnings
 from dataclasses import field, fields, make_dataclass
@@ -21,7 +22,7 @@ from .agent import save_qnetwork  # noqa: F401
 from .artifact import model_id_in, model_id_of
 from .coldstart import RepresentativeTable, build_representatives
 from .data import InteractionDataset, ingest, popularity, read_lines
-from .embed import EmbedConfig, EmbeddingTable, train_embeddings
+from .embed import EmbedConfig, train_embeddings
 from .errors import DataError, NumericError
 from .evaluation import ProtocolConfig, run_protocol
 
@@ -98,10 +99,11 @@ def load_config(path: str | None, overrides: list[str]) -> RunConfig:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = [t for t in line.replace("=", " ").split() if t]
-            if len(parts) != 2:
+            # split once, at the first `=` or run of whitespace: a value may hold `=`
+            key, value = (re.split(r"\s*=\s*|\s+", line, maxsplit=1) + [""])[:2]
+            if not key or value.split() != [value]:
                 raise UsageError(f"{p}:{lineno}: expected 'key value', got {line!r}")
-            set_kv(parts[0], parts[1], f"{p}:{lineno}")
+            set_kv(key, value, f"{p}:{lineno}")
 
     it = iter(overrides)
     for tok in it:
@@ -144,11 +146,11 @@ class _Libraries:
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not UTF-8 text (byte {exc.start})") from None
         raw = b"\n" + raw  # every line, the first too, follows a newline
-        self.raw = raw if raw.endswith(b"\n") else raw + b"\n"
+        self.raw = raw = raw if raw.endswith(b"\n") else raw + b"\n"
         self.model_id = raw[7:raw.find(b"\n", 1)].decode() if raw.startswith(b"\nmodel\t") else None
-        first = self.raw.find(b"\nlibrary\t")
-        self.start = len(self.raw) if first < 0 else first + 1
-        self.ends = self.start + np.flatnonzero(np.frombuffer(self.raw, np.uint8)[self.start:] == 10)
+        first = raw.find(b"\nlibrary\t")
+        self.start = len(raw) if first < 0 else first + 1
+        self.ends = self.start + np.flatnonzero(np.frombuffer(raw, np.uint8)[self.start:] == 10)
 
     def __len__(self) -> int:
         return len(self.ends)
@@ -184,10 +186,9 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config, args.overrides)
     if not cfg.dataset:
         raise UsageError("train requires a dataset (config key 'dataset' or --dataset)")
+    ds = ingest(cfg.dataset)  # before the output directory, which a bad dataset leaves unmade
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
-
-    ds = ingest(cfg.dataset)
     run = protocol_config(cfg)
     emb = train_embeddings(ds, run.embed)
     rep = build_representatives(emb.table, ds, run.blend)
@@ -242,10 +243,9 @@ def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, args.overrides)
     if not cfg.dataset:
         raise UsageError("evaluate requires a dataset (config key 'dataset' or --dataset)")
+    ds = ingest(cfg.dataset)
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
-
-    ds = ingest(cfg.dataset)
     report = run_protocol(ds, protocol_config(cfg))
     (out / "report.txt").write_text(report.to_table(), encoding="utf-8")
     (out / "report.csv").write_text("\n".join(report.machine_lines()) + "\n", encoding="utf-8")
@@ -268,8 +268,8 @@ COMMANDS = {
     "recommend": ("rank libraries for a query set", cmd_recommend, [
         (("--model-dir",), {"required": True}),
         (("--query",), {"required": True, "help": "comma-separated library ids"}),
-        (("--k",), {"type": int, "default": 10}),
-        (("--mode",), {"choices": MODES, "default": "sequential"}),
+        (("--k",), {"type": int, "default": ProtocolConfig.k}),
+        (("--mode",), {"choices": MODES, "default": ProtocolConfig.mode}),
     ]),
     "evaluate": ("run an evaluation protocol and write reports", cmd_evaluate,
                  [(("--config",), {"default": None})]),

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .artifact import Artifact, read_artifact
 from .data import InteractionDataset, popularity
@@ -67,6 +66,8 @@ def build_representatives(table: EmbeddingTable, train: InteractionDataset, blen
     sum; if all clamp to zero the users weigh equally, keeping the user
     term a convex combination. Libraries without users get zero vectors.
     """
+    import scipy.sparse as sp  # training code: a query imports no SciPy
+
     if not 0.0 <= blend <= 1.0:
         raise DataError(f"blend weight must be in [0, 1], got {blend}")
     n, m = train.n_projects, train.n_libraries

@@ -21,8 +21,8 @@ class InteractionDataset:
     array of (project-index, library-index) pairs in ingest order. The
     constructor accepts any integer pairs. Every project must occur in
     at least one pair; libraries may be isolated (they can still appear
-    in a catalog without recorded usage). ``by_project`` and
-    ``by_library`` are CSR views of it: one sorted index array per row.
+    in a catalog without recorded usage). ``by_project`` is a CSR view of
+    it: one sorted index array per project.
     """
 
     projects: tuple[str, ...]
@@ -62,10 +62,6 @@ class InteractionDataset:
     @cached_property
     def by_project(self) -> tuple[np.ndarray, ...]:
         return rows(self.interactions[:, 0], self.interactions[:, 1], self.n_projects)
-
-    @cached_property
-    def by_library(self) -> tuple[np.ndarray, ...]:
-        return rows(self.interactions[:, 1], self.interactions[:, 0], self.n_libraries)
 
 
 def rows(keys: np.ndarray, values: np.ndarray, count: int) -> tuple[np.ndarray, ...]:

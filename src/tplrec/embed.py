@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .artifact import Artifact, read_artifact, write_csv
 from .data import InteractionDataset, group_ranks, popularity
@@ -103,12 +102,14 @@ def _table_layout(n: int, m: int, d: int):
     return [((n, d), "<f4"), ((m, d), "<f4")]
 
 
-def build_adjacency(ds: InteractionDataset) -> sp.csr_matrix:
-    """Symmetrically normalized adjacency over projects followed by libraries.
+def build_adjacency(ds: InteractionDataset):
+    """Symmetrically normalized CSR adjacency over projects followed by libraries.
 
     Entry for edge {u, i} is 1/sqrt(deg(u) * deg(i)); libraries with no
     interactions yield empty rows.
     """
+    import scipy.sparse as sp  # training code: a query imports no SciPy
+
     if ds.n_interactions == 0:
         raise DataError("cannot build adjacency for empty dataset")
     n, m = ds.n_projects, ds.n_libraries
@@ -122,7 +123,7 @@ def build_adjacency(ds: InteractionDataset) -> sp.csr_matrix:
     return sp.csr_matrix((data, (rows, cols)), shape=(n + m, n + m))
 
 
-def propagate(adj: sp.spmatrix, emb: np.ndarray, layers: int) -> np.ndarray:
+def propagate(adj, emb: np.ndarray, layers: int) -> np.ndarray:
     """Mean over 0..layers of the k-step propagated embeddings."""
     acc = emb.copy()
     x = emb
@@ -146,8 +147,11 @@ def debiased_contrastive_loss(emb, users, pos, negs, pos_weight, tau):
     Sample b pairs row ``users[b]`` with the positive row ``pos[b]`` and
     the negative rows ``negs[b]``: its positive logit is cos(u, i+) * w /
     tau with w = 1 - beta * rate(i+) given as ``pos_weight``, its negative
-    logits cos(u, i-) / tau. Returns the batch-mean loss and the gradient.
+    logits cos(u, i-) / tau. Returns the batch-mean loss and the gradient,
+    the latter in the table's dtype.
     """
+    import scipy.sparse as sp  # training code: a query imports no SciPy
+
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     b, k = negs.shape
@@ -165,7 +169,7 @@ def debiased_contrastive_loss(emb, users, pos, negs, pos_weight, tau):
     addends = np.empty((2 * b, emb.shape[1]), dtype=unit.dtype)
     mine, sums = addends[:b], addends[b:]
     mine[:] = unit[users]
-    dcos = np.empty((b, k + 1))  # d loss / d cos for every (user, other) pair
+    dcos = np.empty((b, k + 1), unit.dtype)  # d loss / d cos for every (user, other) pair
     gap = np.empty(b)  # each sample's loss
     for start in range(0, b, _LOSS_CHUNK):
         rows = slice(start, start + _LOSS_CHUNK)
@@ -186,7 +190,7 @@ def debiased_contrastive_loss(emb, users, pos, negs, pos_weight, tau):
     # the gradient with respect to the unit rows, scattered by one column-compressed
     # N x 2B product: k + 1 entries per column for the pairs, then one per sample
     n_pairs = b * (k + 1)
-    scatter = sp.csc_matrix((np.r_[dcos.ravel(), np.ones(b)], np.r_[other.ravel(), users],
+    scatter = sp.csc_matrix((np.r_[dcos.ravel(), np.ones(b, unit.dtype)], np.r_[other.ravel(), users],
                              np.r_[np.arange(0, n_pairs, k + 1), np.arange(n_pairs, n_pairs + b + 1)]),
                             shape=(len(emb), 2 * b))
     g = scatter @ addends

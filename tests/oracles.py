@@ -4,8 +4,14 @@ import warnings
 import numpy as np
 
 from tplrec.coldstart import aggregate
+from tplrec.data import rows
 from tplrec.errors import DataError
 from tplrec.optim import BETA1, BETA2, EPS
+
+
+def by_library(ds):
+    """Each library's sorted users: `data.rows` keyed by the library column."""
+    return rows(ds.interactions[:, 1], ds.interactions[:, 0], ds.n_libraries)
 
 
 def reward_expanded(action, known, table, train, blend):
@@ -13,8 +19,9 @@ def reward_expanded(action, known, table, train, blend):
     the blended-representative formula); must equal the direct form."""
     e_a = table.libraries[action]
     total = 0.0
+    users_of = by_library(train)
     for i in known:
-        users = train.by_library[int(i)]
+        users = users_of[int(i)]
         e_users = table.projects[list(users)]
         weights = np.maximum(e_users @ table.libraries[int(i)], 0.0)
         wsum = weights.sum()
@@ -45,7 +52,7 @@ def representative_loop(i, table, train, blend):
     """Library i's representative from its users one by one: the clamped
     cosine-weighted mean of their embeddings (the plain mean when every
     weight clamps to zero), blended with the library's own embedding."""
-    users = [int(u) for u in train.by_library[i]]
+    users = [int(u) for u in by_library(train)[i]]
     e_i = table.libraries[i]
     w = np.array([max(float(table.projects[u] @ e_i), 0.0) for u in users])
     if w.sum() > 0:

@@ -65,6 +65,20 @@ class TestLoadConfig:
         cfg = load_config(None, ["--query-fraction", "0.3"])
         assert cfg.query_fraction == 0.3
 
+    def test_value_may_hold_equals(self, tmp_path):
+        # a line splits once, at its first `=` or run of whitespace
+        p = tmp_path / "run.conf"
+        p.write_text("dataset /data/a=b.tsv\noutput=out=1\nk = 5\nseed\t=3\n")
+        cfg = load_config(str(p), [])
+        assert (cfg.dataset, cfg.output, cfg.k, cfg.seed) == ("/data/a=b.tsv", "out=1", 5, 3)
+
+    @pytest.mark.parametrize("line", ["seed", "seed 3 4", "= 3", "seed =", "seed = 3 4", "seed=3 4"])
+    def test_line_not_one_key_and_value_rejected(self, tmp_path, line):
+        p = tmp_path / "run.conf"
+        p.write_text(line + "\n")
+        with pytest.raises(UsageError, match="expected 'key value'"):
+            load_config(str(p), [])
+
 
 BAD_VALUES = [
     ("--temperature", "0"),
@@ -173,6 +187,16 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("data error:"), err
         assert (str(latin1) in err[0] and "offset 9" in err[0]) or case == "output is a file"
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("dataset", ["missing", "malformed"])
+    def test_bad_dataset_makes_no_output_directory(self, tmp_path, capsys, command, dataset):
+        data = tmp_path / "data.tsv"
+        if dataset == "malformed":
+            data.write_text("a\tb\tc\n")
+        out = tmp_path / "out"
+        assert main([command, "--dataset", str(data), "--output", str(out)]) == EXIT_DATA
+        assert not out.exists()
+
     def test_malformed_dataset_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("a\tb\tc\td\n")
@@ -225,6 +249,12 @@ class TestVocabularyLookup:
         assert (libraries.index("x"), libraries.index("y"), libraries[1]) == (0, 1, "y")
         path.write_text("project\tp\n")
         assert _Libraries(path).index("p") is None
+
+    def test_model_line_without_final_newline(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("model\t0123456789abcdef")
+        libraries = _Libraries(path)
+        assert (libraries.model_id, len(libraries)) == ("0123456789abcdef", 0)
 
     @pytest.mark.parametrize("line", [0, 3], ids=["model line", "unprinted library line"])
     def test_file_not_utf8_is_data_error(self, tmp_path, line):
@@ -561,10 +591,17 @@ class TestEvaluate:
         assert (out / "report.txt").is_file()
 
 
-def test_cli_import_skips_scipy_special():
-    # every `tplrec recommend` process pays for its imports, and a query needs nothing of scipy.special
+def test_cli_import_skips_scipy_special(dataset_file, tmp_path):
+    # every `tplrec recommend` process pays for its imports, and a query needs nothing of SciPy:
+    # no `scipy` module after importing the CLI, nor after one `recommend`, each in a fresh process
+    path, ds = dataset_file
+    model = tmp_path / "model"
+    assert main(["train", "--dataset", str(path), "--output", str(model), *FAST_TRAIN]) == EXIT_OK
+    query = ",".join(ds.libraries[i] for i in ds.by_project[0][:2])
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    code = "import sys, tplrec.cli; print('scipy.special' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr[-2000:]
-    assert result.stdout.strip() == "False"
+    report = "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    for run in ("", f"assert main(['recommend', '--model-dir', {str(model)!r}, '--query', {query!r}]) == 0"):
+        code = f"import sys\nfrom tplrec.cli import main\n{run}\n{report}"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.splitlines()[-1] == "[]", result.stdout

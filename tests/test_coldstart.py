@@ -8,7 +8,7 @@ from tplrec.data import InteractionDataset, ingest
 from tplrec.embed import EmbeddingTable
 from tplrec.errors import DataError
 
-from oracles import aggregate_mean, representative_loop
+from oracles import aggregate_mean, by_library, representative_loop
 
 
 def unit_rows(rng, n, d):
@@ -39,15 +39,15 @@ class TestRepresentative:
     def test_blend_zero_equals_library(self):
         ds, table = random_setup(1)
         rep = build_representatives(table, ds, blend=0.0)
-        for i in range(ds.n_libraries):
-            if len(ds.by_library[i]):
+        for i, users in enumerate(by_library(ds)):
+            if len(users):
                 assert np.allclose(rep.vectors[i], table.libraries[i], atol=1e-12)
 
     def test_brute_force_oracle(self):
         ds, table = random_setup(2)
         rep = build_representatives(table, ds, 0.5)
-        for i in range(ds.n_libraries):
-            users = ds.by_library[i].tolist()
+        for i, users in enumerate(by_library(ds)):
+            users = users.tolist()
             if not users:
                 continue
             w = np.array([max(float(table.projects[u] @ table.libraries[i]), 0.0) for u in users])
@@ -89,8 +89,8 @@ class TestBuildRepresentatives:
     def test_mask_matches_usage(self):
         ds, table = random_setup(4)
         rep = build_representatives(table, ds, 0.5)
-        for i in range(ds.n_libraries):
-            assert rep.has_rep[i] == bool(len(ds.by_library[i]))
+        for i, users in enumerate(by_library(ds)):
+            assert rep.has_rep[i] == bool(len(users))
 
     @given(seed=st.integers(0, 200), blend=st.sampled_from([0.0, 0.3, 1.0]))
     @settings(max_examples=40, deadline=None)
@@ -108,7 +108,7 @@ class TestBuildRepresentatives:
         table = EmbeddingTable(projects, libraries)
         rep = build_representatives(table, ds, blend)
         assert not rep.has_rep[m - 1] and not rep.vectors[m - 1].any()
-        assert all(float(projects[u] @ libraries[0]) <= 0.0 for u in ds.by_library[0])
+        assert all(float(projects[u] @ libraries[0]) <= 0.0 for u in by_library(ds)[0])
         for i in np.flatnonzero(rep.has_rep):
             assert np.abs(rep.vectors[i] - representative_loop(i, table, ds, blend)).max() <= 1e-12
 

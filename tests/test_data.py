@@ -10,6 +10,7 @@ from tplrec.data import (
     ingest,
     popularity,
     restrict,
+    rows,
     split_groups,
     split_interactions,
     split_query_test,
@@ -121,9 +122,10 @@ class TestArrayCore:
         ds = dataset(n, m, pairs)
         assert ds.interactions.dtype == np.int64 and ds.interactions.tolist() == [list(p) for p in pairs]
         assert [r.tolist() for r in ds.by_project] == rows_loop(pairs, n, 0)
-        assert [r.tolist() for r in ds.by_library] == rows_loop(pairs, m, 1)
+        by_library = rows(ds.interactions[:, 1], ds.interactions[:, 0], m)
+        assert [r.tolist() for r in by_library] == rows_loop(pairs, m, 1)
         assert popularity(ds).counts.tolist() == [len(r) for r in rows_loop(pairs, m, 1)]
-        for array in (ds.interactions, *ds.by_project, *ds.by_library):
+        for array in (ds.interactions, *ds.by_project, *by_library):
             with pytest.raises(ValueError):
                 array[...] = 0
 

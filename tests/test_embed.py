@@ -218,6 +218,17 @@ class TestContrastiveLoss:
             assert loss == want_loss
             assert np.array_equal(grad, want)
 
+    def test_float32_table_within_float32_rounding(self):
+        # the arrays `EmbeddingTable.load` returns are float32
+        emb, users, pos, negs, w = loss_inputs(np.random.default_rng(7), 90, 30, 300, 7, 6)
+        emb = emb.astype(np.float32)
+        loss, grad = debiased_contrastive_loss(emb, users, pos, negs, w, 0.1)
+        want_loss, want = debiased_contrastive_loss(emb.astype(np.float64), users, pos, negs, w, 0.1)
+        assert grad.dtype == np.float32 and np.isfinite(loss) and np.isfinite(grad).all()
+        eps = np.finfo(np.float32).eps
+        assert abs(loss - want_loss) <= 16 * eps * abs(want_loss)
+        assert np.abs(grad - want).max() <= 16 * eps * np.abs(want).max()
+
     def test_catalog_shape_memory(self):
         # the benchmark's embedding batch: a whole (B, k + 1, d) float64 gather is 35.6 MB
         n_rows, b, k, d = 4711, 4096, 16, 64
