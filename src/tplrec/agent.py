@@ -219,7 +219,7 @@ def save_qnetwork(path, net: QNetwork) -> None:
 
 def load_qnetwork(path) -> QNetwork:
     """The network of an artifact, holding its float32 arrays: read-only
-    views of the file's bytes, so it scores in float32."""
+    views of the mapped file, so it scores in float32."""
     return QNetwork.from_params(dict(zip(_QNET_PARAMS, read_artifact(path, _MAGIC_Q, _qnet_layout))))
 
 
@@ -597,24 +597,24 @@ def _answer_block(queries: list[list[int]], k: int, net: QNetwork, rep: Represen
     take = np.minimum(available, min(k, len(rep.has_rep)))  # k may exceed int64
 
     picks: list[list[tuple[int, float]]] = [[] for _ in range(b)]
-    live = np.arange(b)  # block rows still picking; the arrays below hold only theirs
+    live = at = np.arange(b)  # block rows still picking; the arrays below hold only theirs
     q = scores[:b]  # scored at the first step; one-shot picks from these scores alone
-    step = 0
-    while True:
-        keep = take[live] > step
-        if not keep.all():
+    finish = set(take.tolist())  # the steps at which some rows have all their picks
+    for step in range(int(take.max())):
+        if step in finish:
+            keep = take[live] > step
             live, total, count, blocked, q = live[keep], total[keep], count[keep], blocked[keep], q[keep]
-        if not live.size:
-            return picks
+            at = np.arange(len(live))
         if mode == "sequential" or not step:
             q = net.forward(total / count[:, None], out=scores[:len(live)])
             np.copyto(q, -np.inf, where=blocked)  # every pick is allowed, so its Q-value stays
         actions = q.argmax(axis=1)  # first maximum: lowest index
-        at = np.arange(len(live))
         for r, a, v in zip(live.tolist(), actions.tolist(), q[at, actions].tolist()):
             picks[r].append((a, v))
-        blocked[at, actions] = True
-        q[at, actions] = -np.inf
-        total += rep.vectors[actions]
-        count += 1
-        step += 1
+        if mode == "sequential":  # the next step scores the grown sets afresh
+            blocked[at, actions] = True
+            total += rep.vectors[actions]
+            count += 1
+        else:  # one-shot keeps picking from the first step's scores
+            q[at, actions] = -np.inf
+    return picks

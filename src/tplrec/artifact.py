@@ -10,6 +10,11 @@ every artifact it writes, so a caller can tell whether files come from
 the same training run without hashing them: `model_id_in` reads it
 back. One layout per magic lists the arrays for `Artifact.of` and
 `read_artifact` alike. The training curves beside them are CSV.
+
+Every file `tplrec train` and `evaluate` write goes through
+`write_atomic`, which replaces it by rename: a reader that maps a file
+(see `read_artifact`) keeps the old file's bytes, and a reader that
+opens it afterwards sees the whole new file.
 """
 from __future__ import annotations
 
@@ -17,6 +22,8 @@ import csv
 import hashlib
 import io
 import math
+import mmap
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +34,7 @@ from .errors import DataError
 
 VERSION = 2
 ID_BYTES = 8
-# 28 bytes: float32 arrays after it stay 4-byte aligned in the file buffer.
+# 28 bytes: float32 arrays after it stay 4-byte aligned in the mapped file.
 _HEADER = struct.Struct(f"<4sB3x3I{ID_BYTES}s")
 
 
@@ -51,9 +58,7 @@ class Artifact:
         """Write the header, then the payload, and return the bytes written;
         without `model_id` the header holds the artifact's own id."""
         header = _HEADER.pack(self.magic, VERSION, *self.dims, bytes.fromhex(model_id or model_id_of(self)))
-        data = header + self.payload
-        Path(path).write_bytes(data)
-        return data
+        return write_atomic(path, header + self.payload)
 
 
 def model_id_of(*artifacts: Artifact) -> str:
@@ -75,14 +80,23 @@ def model_id_in(path) -> str:
 
 def read_artifact(path, magic: bytes, layout) -> list[np.ndarray]:
     """The arrays of an artifact, where `layout(*dims)` lists each array's
-    (shape, stored dtype). The arrays are read-only views of the file's
-    bytes, not copies.
+    (shape, stored dtype). The file is mapped read-only, and the arrays
+    are read-only views of the mapping, not copies; the mapping lives as
+    long as an array does. A file replaced by rename (as `write_atomic`
+    does) leaves the arrays the old bytes. A file rewritten in place
+    under them does not, and reading a page that a truncation cut off
+    kills the process (SIGBUS).
 
     Raises DataError on a wrong magic or version, nonzero pad bytes, a
     file length other than the one its header implies, or a float array
-    holding NaN or Inf. The model id is not checked: see `model_id_in`.
+    holding NaN or Inf. An empty file fails the magic check. The model
+    id is not checked: see `model_id_in`.
     """
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as file:
+        try:
+            raw = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:  # an empty file cannot be mapped
+            raw = b""
     if raw[:4] != magic:
         raise DataError(f"bad magic in {path}: expected {magic!r}")
     if len(raw) < 5:
@@ -113,6 +127,20 @@ def write_csv(path, rows) -> bytes:
     """Write rows (lists of fields) as CSV and return the bytes written."""
     text = io.StringIO(newline="")
     csv.writer(text).writerows(rows)
-    data = text.getvalue().encode()
-    Path(path).write_bytes(data)
+    return write_atomic(path, text.getvalue().encode())
+
+
+def write_atomic(path, data: bytes) -> bytes:
+    """Write `data` to a temporary file beside `path`, then rename it over
+    `path`, and return `data`. A reader sees the old file or the new one,
+    never a part of either, and a mapping of the old file stays whole.
+    The temporary file is removed if the write fails."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return data

@@ -19,7 +19,7 @@ import numpy as np
 from .agent import MODES, AgentConfig, QNetwork, load_qnetwork, qnetwork_artifact, recommend, train_agent
 # `save_qnetwork` is not called here; perfbench/layers.py wraps it under this module's name.
 from .agent import save_qnetwork  # noqa: F401
-from .artifact import model_id_in, model_id_of
+from .artifact import model_id_in, model_id_of, write_atomic
 from .coldstart import RepresentativeTable, build_representatives
 from .data import InteractionDataset, ingest, popularity, read_lines
 from .embed import EmbedConfig, train_embeddings
@@ -129,9 +129,7 @@ def _write_vocab(path: Path, ds: InteractionDataset, model_id: str) -> bytes:
     lines = [f"model\t{model_id}"]
     lines += [f"project\t{name}" for name in ds.projects]
     lines += [f"library\t{name}" for name in ds.libraries]
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    path.write_bytes(data)
-    return data
+    return write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 class _Libraries:
@@ -204,7 +202,7 @@ def cmd_train(args) -> int:
 
     manifest = _config_lines(cfg)
     manifest += [f"sha256:{name} {hashlib.sha256(data).hexdigest()}" for name, data in written.items()]
-    (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
+    write_atomic(out / "manifest.txt", ("\n".join(manifest) + "\n").encode("utf-8"))
     print(f"artifacts written to {out}")
     return EXIT_OK
 
@@ -247,9 +245,9 @@ def cmd_evaluate(args) -> int:
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
     report = run_protocol(ds, protocol_config(cfg))
-    (out / "report.txt").write_text(report.to_table(), encoding="utf-8")
-    (out / "report.csv").write_text("\n".join(report.machine_lines()) + "\n", encoding="utf-8")
-    (out / "manifest.txt").write_text("\n".join(_config_lines(cfg)) + "\n", encoding="utf-8")
+    write_atomic(out / "report.txt", report.to_table().encode("utf-8"))
+    write_atomic(out / "report.csv", ("\n".join(report.machine_lines()) + "\n").encode("utf-8"))
+    write_atomic(out / "manifest.txt", ("\n".join(_config_lines(cfg)) + "\n").encode("utf-8"))
     print(report.to_table())
     print(f"reports written to {out}")
     return EXIT_OK

@@ -1,8 +1,11 @@
+import mmap
+import os
+
 import numpy as np
 import pytest
 
-from tplrec.agent import QNetwork, load_qnetwork, qnetwork_artifact, save_qnetwork
-from tplrec.artifact import model_id_of
+from tplrec.agent import MODES, QNetwork, load_qnetwork, qnetwork_artifact, recommend, save_qnetwork
+from tplrec.artifact import model_id_of, write_atomic
 from tplrec.cli import EXIT_DATA, EXIT_OK, _load_model, main
 from tplrec.coldstart import RepresentativeTable
 from tplrec.embed import EmbeddingTable
@@ -77,7 +80,15 @@ def test_truncated_header_rejected(tmp_path, name):
         LOADERS[name](tmp_path / name)
 
 
-@pytest.mark.parametrize("change", [-3, 3], ids=["truncated", "extended"])
+@pytest.mark.parametrize("name", LOADERS)
+def test_empty_file_rejected(tmp_path, name):
+    (tmp_path / name).write_bytes(b"")  # an empty file cannot be mapped
+    with pytest.raises(DataError, match="bad magic"):
+        LOADERS[name](tmp_path / name)
+
+
+# A cut longer than the file leaves it empty.
+@pytest.mark.parametrize("change", [-3, 3, -2**30], ids=["truncated", "extended", "empty"])
 @pytest.mark.parametrize("name", ["representatives.tplr", "qnet.tplq"])
 def test_recommend_exits_data_error_on_corrupt_artifact(tmp_path, capsys, name, change):
     write_model(tmp_path)
@@ -166,3 +177,45 @@ def test_unstamped_save_uses_its_own_payload_id(tmp_path):
     net = QNetwork(3, 4, hidden=5, rng=2)
     save_qnetwork(tmp_path / "q.tplq", net)
     assert (tmp_path / "q.tplq").read_bytes()[20:28].hex() == model_id_of(qnetwork_artifact(net))
+
+
+def mapping_of(array):
+    """The object whose buffer is at the bottom of an array's chain of bases."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
+
+
+def test_answers_do_not_depend_on_where_the_weights_sit(tmp_path):
+    """`recommend` on a loaded model, whose arrays sit in a file mapping at
+    offsets that are not 16-byte aligned, equals `recommend` on the same
+    arrays copied into fresh memory, bit for bit: no kernel takes an
+    alignment-dependent path."""
+    rng = np.random.default_rng(3)
+    m, d = 700, 13
+    net = QNetwork(d, m, hidden=47, rng=4)
+    net.params = {name: p.astype(np.float32) for name, p in net.params.items()}
+    has_rep = rng.random(m) < 0.9
+    qnetwork_artifact(net).write(tmp_path / "qnet.tplq")
+    RepresentativeTable(rng.normal(size=(m, d)), 0.5, has_rep).artifact().write(tmp_path / "representatives.tplr")
+    mapped_net = load_qnetwork(tmp_path / "qnet.tplq")
+    mapped_rep = RepresentativeTable.load(tmp_path / "representatives.tplr")
+    assert isinstance(mapping_of(mapped_net.params["wa"]), mmap.mmap)
+    assert mapped_net.params["w1"].ctypes.data % 16 and mapped_net.params["wa"].ctypes.data % 16
+    copied_net = mapped_net.clone()
+    copied_rep = RepresentativeTable(mapped_rep.vectors.copy(), mapped_rep.blend, mapped_rep.has_rep.copy())
+    assert copied_net.params["wa"].ctypes.data % 16 == 0
+    known = np.flatnonzero(has_rep)
+    queries = [rng.choice(known, size=rng.integers(1, 6), replace=False).tolist() for _ in range(300)]
+    for mode in MODES:
+        for query in (queries[0], queries):
+            mapped = recommend(query, 10, mapped_net, mapped_rep, mode, with_scores=True)
+            copied = recommend(query, 10, copied_net, copied_rep, mode, with_scores=True)
+            assert repr(mapped) == repr(copied)
+
+
+def test_failed_write_leaves_the_target_and_no_temporary_file(tmp_path):
+    (tmp_path / "model").mkdir()
+    with pytest.raises(OSError):
+        write_atomic(tmp_path / "model", b"data")  # a file cannot replace a directory
+    assert os.listdir(tmp_path) == ["model"]

@@ -21,15 +21,17 @@ served as it stands.
 """
 import contextlib
 import io
+import os
 import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tplrec.cli import EXIT_DATA, EXIT_OK, main
+from tplrec.cli import EXIT_DATA, EXIT_OK, _load_model, main
 from tplrec.synth import planted_communities
 
 BINARY = ("qnet.tplq", "representatives.tplr")
@@ -128,3 +130,28 @@ def test_files_of_three_trainings_are_all_named(models, tmp_path):
     assert code == EXIT_DATA and out == "", (code, out, err)
     assert len(err) == 1 and err[0].startswith("data error:"), err
     assert all(str(model / name) in err[0] for name in READ), err
+
+
+def test_retraining_in_place_leaves_a_loaded_model_whole(models, tmp_path):
+    """`train` replaces each file by rename. A model loaded before a
+    retraining into its directory keeps its arrays bit for bit, no
+    temporary file is left, and the directory holds the same files and
+    bytes as a training with that seed into a fresh directory."""
+    root, _ = models
+    model = tmp_path / "model"
+    shutil.copytree(root / "seed0", model)
+    _, net, rep = _load_model(model)
+    held = [*net.params.values(), rep.vectors, rep.has_rep]
+    before = [array.tobytes() for array in held]
+    argv = ["train", "--dataset", str(root / "data.tsv"), "--output", str(model), *TINY, "--seed", "1"]
+    assert run(argv)[0] == EXIT_OK
+    assert [array.tobytes() for array in held] == before
+    names = sorted(os.listdir(model))
+    assert names == sorted(os.listdir(root / "seed1"))
+    assert {*READ, "embeddings.tple", "curve.csv", "manifest.txt"} <= set(names)
+
+    def content(path):  # the manifest records the output directory, which differs by design
+        lines = path.read_bytes().splitlines(keepends=True)
+        return [line for line in lines if not (path.name == "manifest.txt" and line.startswith(b"output "))]
+
+    assert all(content(model / name) == content(root / "seed1" / name) for name in names)
