@@ -7,7 +7,6 @@ replay buffer.
 """
 
 from .agent import (
-    AgentConfig,
     QNetwork,
     ReplayBuffer,
     Transition,
@@ -20,6 +19,7 @@ from .agent import (
     train_agent,
 )
 from .coldstart import RepresentativeTable, aggregate, build_representatives
+from .config import AgentConfig, EmbedConfig, ProtocolConfig
 from .data import (
     InteractionDataset,
     PopularityTable,
@@ -30,17 +30,15 @@ from .data import (
     split_users,
 )
 from .embed import (
-    EmbedConfig,
     EmbeddingTable,
     build_adjacency,
     debiased_contrastive_loss,
     propagate,
     train_embeddings,
 )
-from .errors import DataError, NumericError, ParseError
+from .errors import ConfigError, DataError, NumericError, ParseError
 from .evaluation import (
     MetricsReport,
-    ProtocolConfig,
     coverage_at_k,
     epc_at_k,
     precision_recall_at_k,

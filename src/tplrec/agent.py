@@ -14,6 +14,7 @@ import numpy as np
 from .artifact import Artifact, read_artifact, write_csv
 # `aggregate` is not called here; perfbench/layers.py wraps it under this module's name.
 from .coldstart import RepresentativeTable, aggregate, segment_sums  # noqa: F401
+from .config import MODES, AgentConfig, bad_ratios
 from .data import RARE_THRESHOLD, InteractionDataset, PopularityTable, group_ranks, popularity
 from .embed import EmbeddingTable
 from .errors import DataError, NumericError
@@ -23,7 +24,6 @@ _MAGIC_Q = b"TPLQ"
 _QNET_PARAMS = ("w1", "b1", "wv", "bv", "wa", "ba")
 
 PARTITIONS = ("rare", "rand", "seq")
-MODES = ("sequential", "one-shot")
 # Queries per batched forward in `recommend`: bounds its B x M score and mask arrays.
 _BLOCK = 128
 # Rows per pass of `_exp_logsumexp`: bounds its mask of the row maxima.
@@ -54,48 +54,6 @@ class Transition:
 # A partition before its first rows; never written in place, and never sampled.
 _NO_ROWS = Transition(np.zeros((0, 0)), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros((0, 0)),
                       np.zeros(0, dtype=bool))
-
-
-def _bad_ratios(mu) -> bool:
-    """Partition ratios that are not each in [0, 1] with sum 1."""
-    return not (all(0.0 <= x <= 1.0 for x in mu) and abs(sum(mu) - 1.0) <= 1e-9)
-
-
-@dataclass
-class AgentConfig:
-    gamma: float = 0.9
-    alpha: float = 5.5
-    learning_rate: float = 1e-3
-    epochs: int = 20
-    batch_size: int = 128
-    hidden: int = 256
-    target_sync: int = 500
-    capacity: int = 100_000
-    mu: tuple[float, float, float] = (0.2, 0.5, 0.3)
-    transitions_per_project: int = 4
-    grad_steps_per_epoch: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        # NaN fails every range check: a comparison with it is False
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not 0.0 <= self.alpha < np.inf:
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if _bad_ratios(self.mu):
-            raise ValueError(f"partition ratios must be in [0, 1] and sum to 1, got {self.mu}")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        for name in ("epochs", "batch_size", "hidden", "target_sync", "capacity", "transitions_per_project"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("batch_size", "hidden", "transitions_per_project"):  # array sizes, bound as in EmbedConfig
-            if getattr(self, name) > 2**31 - 1:
-                raise ValueError(f"{name} must be at most 2**31 - 1, got {getattr(self, name)}")
-        if self.grad_steps_per_epoch is not None and self.grad_steps_per_epoch < 1:  # None: derived
-            raise ValueError(f"grad_steps_per_epoch must be >= 1, got {self.grad_steps_per_epoch}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class QNetwork:
@@ -361,7 +319,7 @@ class ReplayBuffer:
 
     def __init__(self, capacity: int, mu: tuple[float, float, float],
                  pop: PopularityTable, rng=None):
-        if _bad_ratios(mu):
+        if bad_ratios(mu):
             raise DataError(f"partition ratios must be in [0, 1] and sum to 1, got {mu}")
         self.mu = tuple(mu)
         self.pop = pop

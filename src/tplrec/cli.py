@@ -16,15 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import MODES, AgentConfig, QNetwork, load_qnetwork, qnetwork_artifact, recommend, train_agent
+from .agent import QNetwork, load_qnetwork, qnetwork_artifact, recommend, train_agent
 # `save_qnetwork` is not called here; perfbench/layers.py wraps it under this module's name.
 from .agent import save_qnetwork  # noqa: F401
 from .artifact import model_id_in, model_id_of, write_atomic
 from .coldstart import RepresentativeTable, build_representatives
+from .config import MODES, AgentConfig, EmbedConfig, ProtocolConfig, cli_fields
 from .data import InteractionDataset, ingest, popularity, read_lines
-from .embed import EmbedConfig, train_embeddings
-from .errors import DataError, NumericError
-from .evaluation import ProtocolConfig, run_protocol
+from .embed import train_embeddings
+from .errors import ConfigError, DataError, NumericError
+from .evaluation import run_protocol
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,31 +37,21 @@ class UsageError(Exception):
     pass
 
 
-# Config keys come from the fields of the config dataclasses. Listed here
-# are only the fields whose key differs: a renamed key, a tuple of keys
-# (one per element of a tuple field), or None for a field the command
-# line does not set. `seed` seeds all three configs.
-RENAMED = {
-    ProtocolConfig: {"embed": None, "agent": None, "policy": None},
-    EmbedConfig: {"batch_size": "embed_batch", "learning_rate": "embed_lr", "max_epochs": "embed_epochs"},
-    AgentConfig: {"learning_rate": "agent_lr", "epochs": "agent_epochs", "batch_size": "agent_batch",
-                  "mu": ("mu_rare", "mu_rand", "mu_seq"), "grad_steps_per_epoch": None},
-}
-KEYS = {cls: {f.name: key for f in fields(cls) if (key := renamed.get(f.name, f.name))}
-        for cls, renamed in RENAMED.items()}
-
-
-def _defaults() -> dict:
-    out = {"dataset": "", "output": "tplrec-out"}
-    for cls, keys in KEYS.items():
+def _knobs() -> dict:
+    """Each config key's default, bound and help line; `seed`, a field of all three configs, is one key."""
+    out = {"dataset": ("", None, "interaction file, one project<TAB>library pair per line"),
+           "output": ("tplrec-out", None, "output directory")}
+    for cls in (ProtocolConfig, EmbedConfig, AgentConfig):  # in the order of a manifest's keys
         default = cls()
-        for name, key in keys.items():
-            value = getattr(default, name)
-            out.update(zip(key, value) if isinstance(key, tuple) else [(key, value)])
+        for f, key in cli_fields(cls):
+            value, bound, text = getattr(default, f.name), f.metadata["bound"], f.metadata["help"]
+            for k, v in zip(key, value) if isinstance(key, tuple) else [(key, value)]:
+                out.setdefault(k, (v, bound, text))
     return out
 
 
-DEFAULTS = _defaults()
+KNOBS = _knobs()
+DEFAULTS = {key: default for key, (default, _, _) in KNOBS.items()}
 RunConfig = make_dataclass("RunConfig", [(k, type(v), field(default=v)) for k, v in DEFAULTS.items()])
 RunConfig.__doc__ = "Flat run configuration: the dataset, the output directory and every config key."
 
@@ -68,10 +59,20 @@ RunConfig.__doc__ = "Flat run configuration: the dataset, the output directory a
 def protocol_config(cfg) -> ProtocolConfig:
     """The ProtocolConfig, with its EmbedConfig and AgentConfig, that a run config sets."""
     def make(cls, **nested):
-        return cls(**{name: tuple(getattr(cfg, k) for k in key) if isinstance(key, tuple) else getattr(cfg, key)
-                      for name, key in KEYS[cls].items()}, **nested)
+        return cls(**{f.name: tuple(getattr(cfg, k) for k in key) if isinstance(key, tuple) else getattr(cfg, key)
+                      for f, key in cli_fields(cls)}, **nested)
 
     return make(ProtocolConfig, embed=make(EmbedConfig), agent=make(AgentConfig))
+
+
+def _keys_help() -> str:
+    """The help of every config key: its type, its default, its range and its meaning."""
+    lines = ["config keys, each set by `key value` in the --config file or by --key value:"]
+    for key, (default, bound, text) in KNOBS.items():
+        about = ([f"default: {default}"] if default != "" else []) + ([bound[1]] if bound else [])
+        flag = f"  --{key.replace('_', '-')} {type(default).__name__.upper()}"
+        lines += [flag + (f"  ({'; '.join(about)})" if about else ""), f"      {text}"]
+    return "\n".join(lines)
 
 
 def _config_lines(cfg) -> list[str]:
@@ -118,7 +119,7 @@ def load_config(path: str | None, overrides: list[str]) -> RunConfig:
     cfg = RunConfig(**values)
     try:
         protocol_config(cfg)
-    except (ValueError, DataError) as exc:
+    except ConfigError as exc:
         raise UsageError(f"bad configuration: {exc}") from exc
     return cfg
 
@@ -262,7 +263,7 @@ class _Parser(argparse.ArgumentParser):
 COMMANDS = {
     "ingest": ("parse a dataset and print summary statistics", cmd_ingest, [(("dataset",), {})]),
     "train": ("train embeddings, representatives, and the agent", cmd_train,
-              [(("--config",), {"default": None})]),
+              [(("--config",), {"default": None, "help": "flat key-value config file"})]),
     "recommend": ("rank libraries for a query set", cmd_recommend, [
         (("--model-dir",), {"required": True}),
         (("--query",), {"required": True, "help": "comma-separated library ids"}),
@@ -270,7 +271,7 @@ COMMANDS = {
         (("--mode",), {"choices": MODES, "default": ProtocolConfig.mode}),
     ]),
     "evaluate": ("run an evaluation protocol and write reports", cmd_evaluate,
-                 [(("--config",), {"default": None})]),
+                 [(("--config",), {"default": None, "help": "flat key-value config file"})]),
 }
 
 
@@ -278,6 +279,8 @@ def _add_command(parser: _Parser, name: str) -> _Parser:
     _, func, arguments = COMMANDS[name]
     for flags, options in arguments:
         parser.add_argument(*flags, **options)
+    if func in (cmd_train, cmd_evaluate):  # the overrides are parsed by `load_config`, not here
+        parser.epilog, parser.formatter_class = _keys_help(), argparse.RawDescriptionHelpFormatter
     parser.set_defaults(command=name, func=func)
     return parser
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifact import Artifact, read_artifact, write_csv
+from .config import EmbedConfig
 from .data import InteractionDataset, group_ranks, popularity
 from .errors import DataError, NumericError
 from .optim import Adam
@@ -24,43 +25,6 @@ _MAGIC_EMB = b"TPLE"
 # standard deviation of the initial embeddings.
 VAL_FRACTION = 0.1
 INIT_SCALE = 0.1
-
-
-@dataclass
-class EmbedConfig:
-    layers: int = 2
-    dim: int = 64
-    batch_size: int = 1024
-    learning_rate: float = 1e-4
-    l2: float = 1e-5
-    negatives: int = 128
-    temperature: float = 0.1
-    beta: float = 0.5
-    patience: int = 20
-    max_epochs: int = 400
-    seed: int = 0
-
-    def __post_init__(self):
-        # NaN fails every range check: a comparison with it is False
-        if not 0 < self.temperature < np.inf:
-            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must be in [0, 1), got {self.beta}")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.layers < 0:
-            raise ValueError(f"layers must be >= 0, got {self.layers}")
-        for name in ("dim", "batch_size", "negatives", "max_epochs", "learning_rate"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        # Array sizes: above this bound NumPy raises ValueError or OverflowError, not MemoryError.
-        for name in ("dim", "negatives"):
-            if getattr(self, name) > 2**31 - 1:
-                raise ValueError(f"{name} must be at most 2**31 - 1, got {getattr(self, name)}")
-        if not 0 <= self.l2 < np.inf:
-            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(eq=False)

@@ -7,8 +7,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .agent import MODES, AgentConfig, recommend, train_agent
+from .agent import recommend, train_agent
 from .coldstart import build_representatives
+from .config import ProtocolConfig
 # `split_query_test` is not called here; perfbench/layers.py wraps it under this module's name.
 from .data import (  # noqa: F401
     InteractionDataset,
@@ -21,11 +22,8 @@ from .data import (  # noqa: F401
     split_query_test,
     split_users,
 )
-from .embed import EmbedConfig, train_embeddings
+from .embed import train_embeddings
 from .errors import DataError, NumericError
-
-PROTOCOLS = ("coldstart-100", "coldstart-30", "interaction-split")
-POLICIES = ("agent", "random", "popularity")
 
 
 def precision_recall_at_k(recommended, truth, k: int) -> tuple[float, float]:
@@ -113,40 +111,6 @@ class MetricsReport:
         for name, value in self.averages.items():
             lines.append(f"avg,{name},{self.k},{value:.6f}")
         return lines
-
-
-@dataclass
-class ProtocolConfig:
-    protocol: str = "coldstart-100"
-    folds: int = 10
-    k: int = 10
-    query_fraction: float = 0.5
-    train_fraction: float = 0.7
-    blend: float = 0.5
-    mode: str = "sequential"
-    policy: str = "agent"
-    seed: int = 0
-    embed: EmbedConfig = field(default_factory=EmbedConfig)
-    agent: AgentConfig = field(default_factory=AgentConfig)
-
-    def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
-            raise DataError(f"unknown protocol {self.protocol}; expected one of {PROTOCOLS}")
-        if self.policy not in POLICIES:
-            raise DataError(f"unknown policy {self.policy}; expected one of {POLICIES}")
-        if self.mode not in MODES:
-            raise DataError(f"unknown mode {self.mode}; expected one of {MODES}")
-        if self.k < 1:
-            raise DataError(f"k must be >= 1, got {self.k}")
-        if self.folds < 2:
-            raise DataError(f"folds must be >= 2, got {self.folds}")
-        if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
-        for name in ("query_fraction", "train_fraction"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise DataError(f"{name} must be in (0, 1), got {getattr(self, name)}")
-        if not 0.0 <= self.blend <= 1.0:
-            raise DataError(f"blend must be in [0, 1], got {self.blend}")
 
 
 def _fold_metrics(rec_lists, truths, pop, m, k) -> dict[str, float]:

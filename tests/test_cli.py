@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tplrec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig, UsageError, _Libraries, load_config, main
+from tplrec.cli import (DEFAULTS, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig, UsageError, _Libraries,
+                        build_parser, load_config, main)
 from tplrec.errors import DataError
 from tplrec.synth import head_tail, planted_communities
 
@@ -146,6 +148,23 @@ def test_out_of_range_config_is_one_usage_line(dataset_file, tmp_path, capsys, o
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("usage error: bad configuration:"), err
     assert not (tmp_path / "out").exists()
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_lists_every_key_once_with_its_default(self, capsys, command):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0
+        out = capsys.readouterr().out
+        for key, default in DEFAULTS.items():
+            flag = re.escape("--" + key.replace("_", "-"))
+            named = re.findall(rf"^.*(?<![\w-]){flag}(?![\w-]).*$", out, re.MULTILINE)
+            assert key in ("dataset", "output") or (len(named) == 1 and f"default: {default}" in named[0]), key
+
+    def test_recommend_options_are_unchanged(self):
+        options = {s for action in build_parser("recommend")._actions for s in action.option_strings}
+        assert options == {"-h", "--help", "--model-dir", "--query", "--k", "--mode"}
 
 
 class TestExitCodes:
