@@ -210,7 +210,8 @@ def cmd_train(args) -> int:
 
 def _load_model(model_dir: Path) -> tuple[_Libraries, QNetwork, RepresentativeTable]:
     """The vocabulary, Q-network and representative table of a model directory, each checked:
-    the one place that compares model ids. Raises DataError naming each file whose id no other holds."""
+    the one place that compares model ids and shapes. Raises DataError naming each file whose id no other
+    holds, or the file whose shape is not the network's."""
     vocab, qnet, reps = (model_dir / name for name in ("vocab.tsv", "qnet.tplq", "representatives.tplr"))
     libraries, net, rep = _Libraries(vocab), load_qnetwork(qnet), RepresentativeTable.load(reps)
     ids = {vocab: libraries.model_id, qnet: model_id_in(qnet), reps: model_id_in(reps)}
@@ -219,6 +220,8 @@ def _load_model(model_dir: Path) -> tuple[_Libraries, QNetwork, RepresentativeTa
         raise DataError(", ".join(stray) + ": the files come from different trainings")
     if len(libraries) != net.n_actions:
         raise DataError(f"{vocab} lists {len(libraries)} libraries where the model has {net.n_actions}")
+    if rep.vectors.shape != (net.n_actions, net.state_dim):
+        raise DataError(f"{reps} holds a {rep.vectors.shape} table, not the model's {(net.n_actions, net.state_dim)}")
     return libraries, net, rep
 
 

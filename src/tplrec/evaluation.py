@@ -4,6 +4,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -26,38 +27,44 @@ from .embed import train_embeddings
 from .errors import DataError, NumericError
 
 
-def precision_recall_at_k(recommended, truth, k: int) -> tuple[float, float]:
-    """Percent precision (hits / k) and recall (hits / |truth|)."""
-    truth = set(int(i) for i in truth)
-    if not truth:
+def _hits(picks, truths, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first k columns of a (P, w) pick array, -1 for no pick; which of
+    those are in their row's truth; and each row's count of distinct truth
+    items. A hit is found by its u * M + i code, as in `embed._recall_at_10`."""
+    picks = np.array(picks, dtype=np.int64, ndmin=2)[:, :k]
+    lengths = [len(t) for t in truths]
+    flat = np.fromiter(chain.from_iterable(truths), dtype=np.int64, count=sum(lengths))
+    m = 1 + max(picks.max(initial=0), flat.max(initial=0))
+    codes = np.unique(np.repeat(np.arange(len(truths)), lengths) * m + flat)
+    hit = (picks >= 0) & np.isin(np.arange(len(picks))[:, None] * m + picks, codes)
+    return picks, hit, np.bincount(codes // m, minlength=len(truths))
+
+
+def precision_recall_at_k(picks, truths, k: int) -> tuple[float, float]:
+    """Mean percent precision (hits / k) and recall (hits / |truth|) of a
+    batch: row p of `picks` holds project p's distinct picks in rank order,
+    -1 padded, and `truths[p]` the libraries it is scored against."""
+    _, hit, sizes = _hits(picks, truths, k)
+    if not sizes.all():
         raise DataError("ground truth is empty")
-    rec = [int(i) for i in recommended][:k]
-    hits = len(set(rec) & truth)
-    return 100.0 * hits / k, 100.0 * hits / len(truth)
+    hits = hit.sum(axis=1)
+    return float(np.mean(100.0 * hits / k)), float(np.mean(100.0 * hits / sizes))
 
 
-def epc_at_k(recommended_lists, truths, pop: PopularityTable, k: int) -> float:
+def epc_at_k(picks, truths, pop: PopularityTable, k: int) -> float:
     """Expected popularity complement of the relevant recommended items:
     the mean of (1 - popularity rate) over all hits, in percent; 0 when
-    there are no hits.
+    there are no hits. The complements are summed in row-major order.
     """
-    num = 0.0
-    den = 0.0
-    for rec, truth in zip(recommended_lists, truths):
-        tset = set(int(i) for i in truth)
-        for i in [int(x) for x in rec][:k]:
-            if i in tset:
-                num += 1.0 - pop.rates[i]
-                den += 1.0
-    return 100.0 * num / den if den > 0 else 0.0
+    picks, hit, _ = _hits(picks, truths, k)
+    complements = 1.0 - pop.rates[picks[hit]]
+    return 100.0 * float(np.cumsum(complements)[-1]) / len(complements) if len(complements) else 0.0
 
 
-def coverage_at_k(recommended_lists, catalog_size: int, k: int) -> float:
+def coverage_at_k(picks, catalog_size: int, k: int) -> float:
     """Percent of the library catalog recommended to at least one project."""
-    distinct = set()
-    for rec in recommended_lists:
-        distinct.update(int(i) for i in rec[:k])
-    return 100.0 * len(distinct) / catalog_size
+    picks = np.array(picks, dtype=np.int64, ndmin=2)[:, :k]
+    return 100.0 * len(np.unique(picks[picks >= 0])) / catalog_size
 
 
 @dataclass(eq=False)
@@ -88,39 +95,18 @@ class MetricsReport:
             "",
             f"{'fold':>6} {'Precision@K':>12} {'Recall@K':>10} {'EPC@K':>8} {'Coverage@K':>11} {'skipped':>8}",
         ]
+        row = "{:>6} {precision:>12.2f} {recall:>10.2f} {epc:>8.2f} {coverage:>11.2f}".format
         for j, m in enumerate(self.fold_metrics):
             mark = " (incomplete)" if j in self.incomplete else ""
-            lines.append(
-                f"{j:>6} {m['precision']:>12.2f} {m['recall']:>10.2f} "
-                f"{m['epc']:>8.2f} {m['coverage']:>11.2f} {self.skipped[j]:>8}{mark}"
-            )
-        avg = self.averages
-        lines.append(
-            f"{'avg':>6} {avg['precision']:>12.2f} {avg['recall']:>10.2f} "
-            f"{avg['epc']:>8.2f} {avg['coverage']:>11.2f}"
-        )
-        lines.append("")
-        lines.append(f"# elapsed {self.elapsed:.1f}s")
+            lines.append(row(j, **m) + f" {self.skipped[j]:>8}{mark}")
+        lines += [row("avg", **self.averages), "", f"# elapsed {self.elapsed:.1f}s"]
         return "\n".join(lines) + "\n"
 
     def machine_lines(self) -> list[str]:
         lines = [f"# protocol {self.protocol} seed {self.seed}"]
-        for j, m in enumerate(self.fold_metrics):
-            for name in self.METRIC_NAMES:
-                lines.append(f"{j},{name},{self.k},{m[name]:.6f}")
-        for name, value in self.averages.items():
-            lines.append(f"avg,{name},{self.k},{value:.6f}")
+        for j, m in [*enumerate(self.fold_metrics), ("avg", self.averages)]:
+            lines += [f"{j},{name},{self.k},{m[name]:.6f}" for name in self.METRIC_NAMES]
         return lines
-
-
-def _fold_metrics(rec_lists, truths, pop, m, k) -> dict[str, float]:
-    pr = [precision_recall_at_k(rec, truth, k) for rec, truth in zip(rec_lists, truths)]
-    return {
-        "precision": float(np.mean([p for p, _ in pr])),
-        "recall": float(np.mean([r for _, r in pr])),
-        "epc": epc_at_k(rec_lists, truths, pop, k),
-        "coverage": coverage_at_k(rec_lists, m, k),
-    }
 
 
 def _recommender(train_ds: InteractionDataset, seen: np.ndarray, pop: PopularityTable,
@@ -200,9 +186,20 @@ def run_protocol(ds: InteractionDataset, cfg: ProtocolConfig) -> MetricsReport:
             report.skipped.append(skipped)
             report.incomplete.append(f)
             continue
-        rec_lists = policy([q for q, _ in evaluated])
+        answers = policy([q for q, _ in evaluated])
         truths = [t for _, t in evaluated]
-        report.fold_metrics.append(_fold_metrics(rec_lists, truths, pop, ds.n_libraries, cfg.k))
+        # one row of picks per project, -1 after a shorter answer: as wide as the longest (<= k)
+        lengths = np.array([len(a) for a in answers])
+        filled = np.arange(lengths.max()) < lengths[:, None]
+        picks = np.full(filled.shape, -1, dtype=np.int64)
+        picks[filled] = np.fromiter(chain.from_iterable(answers), np.int64, lengths.sum())
+        precision, recall = precision_recall_at_k(picks, truths, cfg.k)
+        report.fold_metrics.append({
+            "precision": precision,
+            "recall": recall,
+            "epc": epc_at_k(picks, truths, pop, cfg.k),
+            "coverage": coverage_at_k(picks, ds.n_libraries, cfg.k),
+        })
         report.skipped.append(skipped)
     if len(report.incomplete) == len(report.fold_metrics):
         raise failed[-1][1] if failed else DataError(f"{cfg.protocol} evaluation produced no test projects")

@@ -14,6 +14,51 @@ def by_library(ds):
     return rows(ds.interactions[:, 1], ds.interactions[:, 0], ds.n_libraries)
 
 
+def precision_recall_sets(recommended, truth, k):
+    """Percent precision (hits / k) and recall (hits / |truth|) of one
+    project, from the sets of its first k picks and its truth."""
+    truth = set(int(i) for i in truth)
+    if not truth:
+        raise DataError("ground truth is empty")
+    rec = [int(i) for i in recommended][:k]
+    hits = len(set(rec) & truth)
+    return 100.0 * hits / k, 100.0 * hits / len(truth)
+
+
+def epc_sets(recommended_lists, truths, pop, k):
+    """The mean of (1 - popularity rate) over all hits in percent, 0 with
+    no hits, summed hit by hit in list order."""
+    num = 0.0
+    den = 0.0
+    for rec, truth in zip(recommended_lists, truths):
+        tset = set(int(i) for i in truth)
+        for i in [int(x) for x in rec][:k]:
+            if i in tset:
+                num += 1.0 - pop.rates[i]
+                den += 1.0
+    return 100.0 * num / den if den > 0 else 0.0
+
+
+def coverage_sets(recommended_lists, catalog_size, k):
+    """Percent of the catalog in the union of every list's first k picks."""
+    distinct = set()
+    for rec in recommended_lists:
+        distinct.update(int(i) for i in rec[:k])
+    return 100.0 * len(distinct) / catalog_size
+
+
+def fold_metrics_sets(rec_lists, truths, pop, m, k):
+    """A fold's four metrics from unpadded answer lists, one project at a
+    time: precision and recall are the means of the per-project values."""
+    pr = [precision_recall_sets(rec, truth, k) for rec, truth in zip(rec_lists, truths)]
+    return {
+        "precision": float(np.mean([p for p, _ in pr])),
+        "recall": float(np.mean([r for _, r in pr])),
+        "epc": epc_sets(rec_lists, truths, pop, k),
+        "coverage": coverage_sets(rec_lists, m, k),
+    }
+
+
 def reward_expanded(action, known, table, train, blend):
     """Reward recomputed as the per-library vote sum (the expanded form of
     the blended-representative formula); must equal the direct form."""

@@ -244,10 +244,10 @@ def test_buffer_properties(capsys):
 def test_metric_oracles(capsys):
     ok = True
     # hand-checked examples
-    p, r = precision_recall_at_k([11, 12, 13], [11], 3)
+    p, r = precision_recall_at_k([[11, 12, 13]], [[11]], 3)
     ok &= abs(p - 100 / 3) < 1e-9 and r == 100.0
-    ok &= precision_recall_at_k([1, 2], [3], 2) == (0.0, 0.0)
-    ok &= precision_recall_at_k([1, 2], [1, 2], 2) == (100.0, 100.0)
+    ok &= precision_recall_at_k([[1, 2]], [[3]], 2) == (0.0, 0.0)
+    ok &= precision_recall_at_k([[1, 2]], [[1, 2]], 2) == (100.0, 100.0)
 
     lines = [f"p{u}\talways" for u in range(10)]
     lines += [f"p{u}\toften" for u in range(6)] + [f"p{u}\tsome" for u in range(2)]
@@ -267,7 +267,7 @@ def test_metric_oracles(capsys):
         rec = rng.choice(50, size=int(rng.integers(1, 20)), replace=False).tolist()
         truth = rng.choice(50, size=int(rng.integers(1, 20)), replace=False).tolist()
         k = int(rng.integers(1, 20))
-        p, r = precision_recall_at_k(rec, truth, k)
+        p, r = precision_recall_at_k([rec], [truth], k)
         worst = max(worst, abs(p * k - r * len(truth)))
     ok &= worst < 1e-9
     report(capsys, "metric hand examples and precision-recall identity",

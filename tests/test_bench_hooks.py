@@ -69,7 +69,8 @@ def test_traced_run_derives_every_per_layer_metric(tmp_path, capsys):
     assert set(metrics) == {name for name, *_ in spec.PER_LAYER} - {"trace.overhead_pct"}
     assert all(math.isfinite(v) for v in metrics.values()), metrics
     for name in ("data.interactions", "embed.edges_per_s", "coldstart.build_s", "agent.transitions",
-                 "agent.recommend_calls", "evaluation.test_projects", "cli.recommend_self_ms"):
+                 "agent.recommend_calls", "evaluation.test_projects", "evaluation.metrics_s",
+                 "cli.recommend_self_ms"):
         assert metrics[name] > 0, name
     # the share counts `recommend` calls under `run_protocol`: above 0 only if the
     # protocol still reaches the wrapped `evaluation.recommend` site

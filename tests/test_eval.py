@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tplrec.agent import AgentConfig
-from tplrec.data import InteractionDataset, ingest, popularity
+from tplrec.data import InteractionDataset, PopularityTable, ingest, popularity
 from tplrec.embed import EmbedConfig
 import tplrec.evaluation
 from tplrec.errors import DataError, NumericError
@@ -18,27 +18,29 @@ from tplrec.evaluation import (
 )
 from tplrec.synth import planted_communities
 
+from oracles import fold_metrics_sets
+
 
 class TestPrecisionRecall:
     def test_hand_case(self):
         # 3 hits in a 10-list against 5 truth items
-        p, r = precision_recall_at_k([0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [0, 1, 2, 90, 91], 10)
+        p, r = precision_recall_at_k([[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]], [[0, 1, 2, 90, 91]], 10)
         assert p == pytest.approx(30.0)
         assert r == pytest.approx(60.0)
 
     def test_perfect_and_zero(self):
-        p, r = precision_recall_at_k([5, 6], [5, 6], 2)
+        p, r = precision_recall_at_k([[5, 6]], [[5, 6]], 2)
         assert (p, r) == (100.0, 100.0)
-        p, r = precision_recall_at_k([5, 6], [7], 2)
+        p, r = precision_recall_at_k([[5, 6]], [[7]], 2)
         assert (p, r) == (0.0, 0.0)
 
     def test_truncates_to_k(self):
-        p, r = precision_recall_at_k([9, 1, 2], [2], 2)
+        p, r = precision_recall_at_k([[9, 1, 2]], [[2]], 2)
         assert p == 0.0 and r == 0.0
 
     def test_empty_truth_rejected(self):
         with pytest.raises(DataError):
-            precision_recall_at_k([1], [], 1)
+            precision_recall_at_k([[1]], [[]], 1)
 
     @given(
         rec=st.lists(st.integers(0, 30), min_size=1, max_size=20, unique=True),
@@ -48,7 +50,7 @@ class TestPrecisionRecall:
     @settings(max_examples=1000, deadline=None)
     def test_precision_recall_identity(self, rec, truth, k):
         # P * k == R * |truth| (both equal 100 * hits)
-        p, r = precision_recall_at_k(rec, truth, k)
+        p, r = precision_recall_at_k([rec], [truth], k)
         assert p * k == pytest.approx(r * len(truth))
 
 
@@ -116,6 +118,33 @@ class TestCoverage:
 
     def test_full_catalog(self):
         assert coverage_at_k([[i] for i in range(4)], 4, 1) == pytest.approx(100.0)
+
+
+@given(data=st.data())
+@settings(max_examples=500, deadline=None)
+def test_array_metrics_match_set_oracles(data):
+    """The four fold metrics of a padded pick array equal, bit for bit, the
+    set-based oracles on its unpadded lists: answers of 0 to `width`
+    distinct picks padded with -1, arrays narrower or wider than k, one or
+    many rows, k above the catalog size, and truths that repeat a library."""
+    m = data.draw(st.integers(1, 12), label="catalog size")
+    k = data.draw(st.integers(1, m + 3), label="k")
+    width = data.draw(st.integers(0, k + 3), label="width")
+    library = st.integers(0, m - 1)
+    answers = data.draw(st.lists(st.lists(library, max_size=width, unique=True), min_size=1, max_size=30),
+                        label="answers")
+    truths = data.draw(st.lists(st.lists(library, min_size=1, max_size=m + 2),
+                                min_size=len(answers), max_size=len(answers)), label="truths")
+    n = data.draw(st.integers(1, 50), label="training projects")
+    counts = np.array(data.draw(st.lists(st.integers(0, n), min_size=m, max_size=m), label="counts"))
+    pop = PopularityTable(counts=counts, rates=counts / float(n))
+    picks = np.full((len(answers), width), -1)
+    for row, answer in zip(picks, answers):
+        row[:len(answer)] = answer
+    precision, recall = precision_recall_at_k(picks, truths, k)
+    got = {"precision": precision, "recall": recall,
+           "epc": epc_at_k(picks, truths, pop, k), "coverage": coverage_at_k(picks, m, k)}
+    assert got == fold_metrics_sets(answers, truths, pop, m, k)
 
 
 class TestMetricsReport:

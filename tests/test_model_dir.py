@@ -13,7 +13,8 @@ The damage drawn, one kind per example, to a small trained model:
 - a byte that is not UTF-8 put into a vocabulary line.
 
 A directory that mixes the three files of three trainings names all
-three.
+three, and a representative table of another shape that carries the
+model's id names `representatives.tplr`.
 
 Not covered: a payload byte changed so that its value stays finite.
 Nothing is hashed on load (README gives the cost), so such a file is
@@ -31,7 +32,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tplrec.artifact import model_id_in
 from tplrec.cli import EXIT_DATA, EXIT_OK, _load_model, main
+from tplrec.coldstart import RepresentativeTable
 from tplrec.synth import planted_communities
 
 BINARY = ("qnet.tplq", "representatives.tplr")
@@ -130,6 +133,26 @@ def test_files_of_three_trainings_are_all_named(models, tmp_path):
     assert code == EXIT_DATA and out == "", (code, out, err)
     assert len(err) == 1 and err[0].startswith("data error:"), err
     assert all(str(model / name) in err[0] for name in READ), err
+
+
+@pytest.mark.parametrize("extra_rows, extra_dims", [(1, 0), (-1, 0), (0, 1), (0, -1)])
+def test_representatives_of_another_shape_are_one_data_error(models, tmp_path, extra_rows, extra_dims):
+    """A representative table with one library or one dimension more or
+    less than the network, stamped with the model's own id, is refused
+    on load and not met as a shape error inside the forward."""
+    root, query = models
+    model = tmp_path / "model"
+    shutil.copytree(root / "seed0", model)
+    path = model / "representatives.tplr"
+    rep = RepresentativeTable.load(path)
+    m, d = rep.vectors.shape
+    vectors = np.resize(rep.vectors, (m + extra_rows, d + extra_dims))
+    RepresentativeTable(vectors, rep.blend, np.ones(m + extra_rows, dtype=bool)).artifact().write(
+        path, model_id_in(model / "qnet.tplq"))
+    code, out, err = run(recommend_argv(model, query))
+    assert code == EXIT_DATA and out == "", (code, out, err)
+    assert len(err) == 1 and err[0].startswith("data error:"), err
+    assert [name for name in READ if name in err[0]] == ["representatives.tplr"], err
 
 
 def test_retraining_in_place_leaves_a_loaded_model_whole(models, tmp_path):
